@@ -62,7 +62,7 @@ func main() {
 	flag.Var(&binds, "bind", "binding set for -template as name=value[,name=value...]; repeatable")
 	flag.Parse()
 
-	reg, text, err := world(*worldName)
+	reg, text, err := simweb.World(*worldName, simweb.TravelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -216,23 +216,4 @@ func optimizeTemplate(o *opt.Optimizer, reg *service.Registry, sch *schema.Schem
 	fmt.Printf("\ntemplate cache: %d searches for %d bindings (%d template hits, %d revalidations, %d divergences, %d borrowed serves, %d binding classes)\n",
 		cs.Searches, len(binds), cs.TemplateHits, cs.Revalidations, cs.Divergences, cs.BorrowedServes, cs.Classes)
 	os.Exit(0)
-}
-
-func world(name string) (*service.Registry, string, error) {
-	switch name {
-	case "travel":
-		w := simweb.NewTravelWorld(simweb.TravelOptions{})
-		return w.Registry, simweb.RunningExampleText, nil
-	case "bio":
-		w := simweb.NewBioWorld()
-		return w.Registry, simweb.BioExampleText, nil
-	case "mashup":
-		w := simweb.NewMashupWorld()
-		return w.Registry, simweb.MashupExampleText, nil
-	case "zipf":
-		w := simweb.NewZipfWorld(0, 0, 0)
-		return w.Registry, simweb.ZipfExampleText, nil
-	default:
-		return nil, "", fmt.Errorf("unknown world %q (want travel, bio, mashup or zipf)", name)
-	}
 }

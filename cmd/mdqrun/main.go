@@ -90,7 +90,7 @@ func main() {
 			log.Fatal("-query is required with -remote")
 		}
 	} else {
-		reg, text, err = world(*worldName)
+		reg, text, err = simweb.World(*worldName, simweb.TravelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -344,25 +344,6 @@ func render(row []schema.Value) []string {
 		}
 	}
 	return out
-}
-
-func world(name string) (*service.Registry, string, error) {
-	switch name {
-	case "travel":
-		w := simweb.NewTravelWorld(simweb.TravelOptions{})
-		return w.Registry, simweb.RunningExampleText, nil
-	case "bio":
-		w := simweb.NewBioWorld()
-		return w.Registry, simweb.BioExampleText, nil
-	case "mashup":
-		w := simweb.NewMashupWorld()
-		return w.Registry, simweb.MashupExampleText, nil
-	case "zipf":
-		w := simweb.NewZipfWorld(0, 0, 0)
-		return w.Registry, simweb.ZipfExampleText, nil
-	default:
-		return nil, "", fmt.Errorf("unknown world %q", name)
-	}
 }
 
 func sortedKeys(m map[string]int64) []string {

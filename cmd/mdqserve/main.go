@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	mdqserve [-addr :8080] [-world travel|bio|mashup] [-scale 0.001]
+//	mdqserve [-addr :8080] [-world travel|bio|mashup|zipf] [-scale 0.001]
 //	         [-parallel -1] [-plancache 128] [-cachettl 0]
 //	         [-cachebytes 0] [-revalidate-ratio 4] [-feedback]
 //	         [-workers http://w1:8090,http://w2:8091] [-cache-file plans.json]
@@ -174,18 +174,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var reg *service.Registry
-	switch *worldName {
-	case "travel":
-		reg = simweb.NewTravelWorld(simweb.TravelOptions{JitterSigma: *jitter}).Registry
-	case "bio":
-		reg = simweb.NewBioWorld().Registry
-	case "mashup":
-		reg = simweb.NewMashupWorld().Registry
-	case "zipf":
-		reg = simweb.NewZipfWorld(0, 0, 0).Registry
-	default:
-		log.Fatalf("unknown world %q", *worldName)
+	reg, _, err := simweb.World(*worldName, simweb.TravelOptions{JitterSigma: *jitter})
+	if err != nil {
+		log.Fatal(err)
 	}
 	reg.ObserveAll()
 

@@ -108,7 +108,7 @@ func main() {
 	)
 	flag.Parse()
 
-	reg, err := worldRegistry(*worldName)
+	reg, _, err := simweb.World(*worldName, simweb.TravelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,20 +237,4 @@ func instrumentWorker(m *serve.Metrics, h http.Handler) http.Handler {
 		m.HistogramL("mdq_worker_request_seconds",
 			"Protocol request latency.", nil, "endpoint", r.URL.Path).Observe(time.Since(start).Seconds())
 	})
-}
-
-// worldRegistry builds the named simulated world.
-func worldRegistry(name string) (*service.Registry, error) {
-	switch name {
-	case "travel":
-		return simweb.NewTravelWorld(simweb.TravelOptions{}).Registry, nil
-	case "bio":
-		return simweb.NewBioWorld().Registry, nil
-	case "mashup":
-		return simweb.NewMashupWorld().Registry, nil
-	case "zipf":
-		return simweb.NewZipfWorld(0, 0, 0).Registry, nil
-	default:
-		return nil, fmt.Errorf("unknown world %q", name)
-	}
 }

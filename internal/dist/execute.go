@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mdq/internal/abind"
@@ -376,29 +375,25 @@ func (c *Coordinator) sharesRegistry(tr Transport) bool {
 	}
 }
 
-// ExecutePlan executes a winning plan across the fleet as a
-// coordinator-side streaming dataflow: the plan is partitioned into
-// linear fragments (PartitionPlan), and every coordinator-visible
-// node — the input, each fragment, each parallel join, the output —
-// runs as its own goroutine connected by bounded channels
-// (BufferSize tuples per arc). Incomparable fragments (parallel join
-// branches) therefore dispatch concurrently, each worker's ndjson
-// batch stream is decoded into its arc as frames arrive, and the
-// joins consume those arcs incrementally (exec.StreamJoin), so
-// wall-clock for a bushy plan tracks the slowest branch rather than
-// the sum and coordinator memory is bounded by buffer size rather
-// than intermediate-result size. Reaching K at the output cancels the
-// in-flight fragment streams (early termination, §2.2). A fragment's
-// seed tuples are still materialized before dispatch — the execute
-// wire is request-then-stream — so the bounded-memory claim covers
-// fragment *result* streams, which is where proliferative cardinality
-// lives.
-//
-// Because fragments reproduce their nodes' in-plan tuple streams
-// exactly and the streaming joins apply the identical plane
-// traversals, the result is byte-identical to running the plan on the
-// coordinator with exec.Runner (differential-tested on the simweb
-// worlds over both transports).
+// ExecutePlan executes a winning plan across the fleet. The plan is
+// partitioned into linear fragments (PartitionPlan) and run by the
+// executor's own dataflow scheduler (exec.Runner.RunChains) with every
+// fragment substituted by a dispatch stage: the stage collects the
+// chain's seed tuples, ships them with the plan skeleton to a worker
+// hosting the chain, and forwards the worker's ndjson batch stream
+// onto the tail's arcs as frames arrive. Everything else — bounded
+// arcs (BufferSize tuples each), the parallel joins, head projection,
+// cancelling the in-flight fragment streams once K rows are out
+// (early termination, §2.2), first-error-wins — is the scheduler's,
+// so incomparable fragments dispatch concurrently, wall-clock for a
+// bushy plan tracks the slowest branch rather than the sum,
+// coordinator memory is bounded by buffer size rather than
+// intermediate-result size, and the result is byte-identical to
+// running the plan on the coordinator with exec.Runner.Run by
+// construction. A fragment's seed tuples are still materialized
+// before dispatch — the execute wire is request-then-stream — so the
+// bounded-memory claim covers fragment *result* streams, which is
+// where proliferative cardinality lives.
 //
 // Worker-side fragment executions run under each worker's own
 // feedback policy; bumps they report are absorbed into this registry
@@ -454,9 +449,9 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 	if err != nil {
 		return nil, err
 	}
-	headFrag := make(map[int]Fragment, len(frags))
-	for _, f := range frags {
-		headFrag[p.ServiceNode[f.Atoms[0]].ID] = f
+	chains := make([][]int, len(frags))
+	for i, f := range frags {
+		chains[i] = f.Atoms
 	}
 
 	ix := exec.NewVarIndex(p)
@@ -492,91 +487,20 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 		}
 	}
 
-	bufSize := c.BufferSize
-	if bufSize <= 0 {
-		bufSize = exec.DefaultBufferSize
-	}
+	var mu sync.Mutex // guards stats
+	stats := exec.Stats{Calls: map[string]int64{}, Fetches: map[string]int64{}}
 
-	// The coordinator-visible dataflow nodes are the input, each
-	// fragment (standing in for its whole chain, producing as its
-	// tail), each parallel join, and the output. Chain-interior nodes
-	// live inside a fragment and never carry a coordinator arc.
-	tailFrag := make(map[int]Fragment, len(frags))
-	for _, f := range frags {
-		tailFrag[p.ServiceNode[f.Atoms[len(f.Atoms)-1]].ID] = f
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// One bounded channel per coordinator arc, indexed by (from, to).
-	type arcKey struct{ from, to int }
-	arcs := map[arcKey]chan exec.Tuple{}
-	var output *plan.Node
-	for _, n := range p.Nodes {
-		switch n.Kind {
-		case plan.Output:
-			output = n
-			continue
-		case plan.Service:
-			if _, ok := tailFrag[n.ID]; !ok {
-				continue // chain-interior: no coordinator arc
-			}
-		}
-		for _, m := range n.Out {
-			arcs[arcKey{n.ID, m.ID}] = make(chan exec.Tuple, bufSize)
-		}
-	}
-	if output == nil {
-		return nil, fmt.Errorf("dist: plan for query %s has no output node", p.Query.Name)
-	}
-	outsOf := func(n *plan.Node) []chan exec.Tuple {
-		outs := make([]chan exec.Tuple, len(n.Out))
-		for i, m := range n.Out {
-			outs[i] = arcs[arcKey{n.ID, m.ID}]
-		}
-		return outs
-	}
-	send := func(outs []chan exec.Tuple, t exec.Tuple) error {
-		for _, ch := range outs {
-			select {
-			case ch <- t:
-			case <-ctx.Done():
-				return context.Canceled
-			}
-		}
-		return nil
-	}
-	closeArcs := func(outs []chan exec.Tuple) {
-		for _, ch := range outs {
-			close(ch)
-		}
-	}
-
-	res := &exec.Result{
-		Head:  p.Query.Head,
-		Stats: exec.Stats{Calls: map[string]int64{}, Fetches: map[string]int64{}},
-	}
-	var (
-		mu       sync.Mutex
-		rows     [][]schema.Value
-		tuples   []exec.Tuple
-		firstRow time.Duration
-	)
-	// reached distinguishes our own k-satisfied cancellation from an
-	// external abort: once set, sibling fragments cancelled mid-stream
-	// are an orderly shutdown, not a failure — their errors (and any
-	// late budget charge the cap would reject) are swallowed, because
-	// the answer is already complete.
-	var reached atomic.Bool
-
-	// runFragment collects the chain's seed tuples (the execute wire
-	// ships them with the request), dispatches, and feeds the worker's
-	// batch stream into the tail's arcs tuple by tuple as frames
-	// arrive. Calls are charged against the budget when the fragment's
-	// accounting frame lands — a fragment cancelled mid-stream never
-	// reports, so exec.Stats counts exactly the completed fragments,
-	// and a retried fragment charges exactly once (only the completed
-	// attempt reports).
+	// dispatch is the stage standing in for fragment i: it collects the
+	// chain's seed tuples (the execute wire ships them with the
+	// request), dispatches, and emits the worker's batch stream tuple by
+	// tuple as frames arrive. Calls are charged against the budget when
+	// the fragment's accounting frame lands — a fragment cancelled
+	// mid-stream never reports, so exec.Stats counts exactly the
+	// completed fragments, and a retried fragment charges exactly once
+	// (only the completed attempt reports). Once the output has its K
+	// rows the scheduler has cancelled ctx and drops whatever error the
+	// torn-down stream (or a late budget charge the cap would reject)
+	// produces here: the answer is already complete.
 	//
 	// Failover: a transiently failed dispatch re-runs on the next live
 	// hosting candidate. `sent` is the resume cursor — how many tuples
@@ -586,13 +510,10 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 	// reproduces the dead worker's tuple order exactly; skipping the
 	// first `sent` tuples splices the two streams without duplicates,
 	// and the joins downstream never notice the failure.
-	runFragment := func(f Fragment) error {
-		head := p.ServiceNode[f.Atoms[0]]
-		tail := p.ServiceNode[f.Atoms[len(f.Atoms)-1]]
-		outs := outsOf(tail)
-		defer closeArcs(outs)
+	dispatch := func(ctx context.Context, i int, in <-chan exec.Tuple, emit func(exec.Tuple) error) error {
+		f := frags[i]
 		var seeds []exec.Tuple
-		for t := range arcs[arcKey{head.In[0].ID, head.ID}] {
+		for t := range in {
 			seeds = append(seeds, t)
 		}
 		if ctx.Err() != nil {
@@ -623,7 +544,7 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 				}
 			}
 			if target < 0 {
-				if reached.Load() || ctx.Err() != nil {
+				if ctx.Err() != nil {
 					return context.Canceled
 				}
 				if lastErr != nil {
@@ -640,11 +561,17 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 			dsp.Set("worker", tr.Name())
 			dsp.Set("atoms", fmt.Sprint(f.Atoms))
 			dsp.Set("attempt", strconv.Itoa(attempt))
+			// fail closes the span of an attempt that did not complete.
+			fail := func(err error) error {
+				dsp.Set("error", err.Error())
+				dsp.End()
+				return err
+			}
 			req.TraceID, req.TraceSpan = dsp.TraceID(), dsp.SpanID()
 			req.BudgetMillis, req.BudgetCalls = 0, 0
 			if budget != nil {
 				if err := budget.Err(); err != nil {
-					return err
+					return fail(err)
 				}
 				if rem, ok := budget.Remaining(); ok {
 					req.BudgetMillis = int64(rem / time.Millisecond)
@@ -657,7 +584,7 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 						// The cap is exactly consumed and this fragment
 						// has tuples to process: the call it would issue
 						// trips the budget, so abort before shipping.
-						return budget.Charge(1)
+						return fail(budget.Charge(1))
 					}
 					req.BudgetCalls = left
 				}
@@ -677,7 +604,7 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 					if derr != nil {
 						return derr
 					}
-					if serr := send(outs, t); serr != nil {
+					if serr := emit(t); serr != nil {
 						return serr
 					}
 					sent++
@@ -686,11 +613,7 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 			})
 			c.reportOutcome(target, err)
 			if err != nil {
-				dsp.Set("error", err.Error())
-				dsp.End()
-				if reached.Load() {
-					return context.Canceled
-				}
+				fail(err)
 				// A budget trip surfaces as the budget error, not as the
 				// transport failure it caused (cancelled stream, worker
 				// abort) and never as a retry-exhausted transport error:
@@ -730,123 +653,37 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 			var fragCalls int64
 			mu.Lock()
 			for name, v := range fres.Calls {
-				res.Stats.Calls[name] += v
+				stats.Calls[name] += v
 				fragCalls += v
 			}
 			for name, v := range fres.Fetches {
-				res.Stats.Fetches[name] += v
+				stats.Fetches[name] += v
 			}
 			mu.Unlock()
-			if budget != nil {
-				if err := budget.Charge(fragCalls); err != nil && !reached.Load() {
-					return err
-				}
-			}
 			if len(fres.Bumps) > 0 && !c.sharesRegistry(tr) {
 				c.AbsorbBumps(fres.Bumps)
+			}
+			if budget != nil {
+				return budget.Charge(fragCalls)
 			}
 			return nil
 		}
 	}
 
-	errc := make(chan error, len(p.Nodes))
-	var wg sync.WaitGroup
-	spawn := func(run func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := run(); err != nil && err != context.Canceled {
-				select {
-				case errc <- err:
-				default:
-				}
-				cancel()
-			}
-		}()
-	}
-	for _, n := range p.Nodes {
-		n := n
-		switch n.Kind {
-		case plan.Input:
-			spawn(func() error {
-				outs := outsOf(n)
-				defer closeArcs(outs)
-				return send(outs, exec.NewTuple(ix))
-			})
-		case plan.Service:
-			f, ok := headFrag[n.ID]
-			if !ok {
-				continue // chain-interior: runs inside its fragment
-			}
-			spawn(func() error { return runFragment(f) })
-		case plan.Join:
-			spawn(func() error {
-				outs := outsOf(n)
-				defer closeArcs(outs)
-				// Coordinator-side joins get the same node spans the
-				// in-process runner records, so the distributed tree audits
-				// every plan node, not just the shipped chains.
-				jsp := qsp.Child("node:" + n.Label())
-				jsp.SetEst(n.TIn, n.Calls, n.TOut)
-				jsp.AddObs(0, 0, 0, 0)
-				defer jsp.End()
-				in0 := arcs[arcKey{n.In[0].ID, n.ID}]
-				in1 := arcs[arcKey{n.In[1].ID, n.ID}]
-				return exec.StreamJoin(ctx, n.Method, in0, in1, n.JoinPreds, ix, func(t exec.Tuple) error {
-					jsp.AddObs(0, 1, 0, 0)
-					return send(outs, t)
-				}, c.JoinExcessPeak)
-			})
-		case plan.Output:
-			spawn(func() error {
-				for t := range arcs[arcKey{n.In[0].ID, n.ID}] {
-					row, perr := t.Project(ix, p.Query.Head)
-					if perr != nil {
-						return perr
-					}
-					mu.Lock()
-					if !reached.Load() {
-						rows = append(rows, row)
-						tuples = append(tuples, t)
-						if len(rows) == 1 {
-							firstRow = time.Since(start)
-						}
-						if c.K > 0 && len(rows) >= c.K {
-							reached.Store(true)
-							cancel()
-						}
-					}
-					mu.Unlock()
-				}
-				return nil
-			})
-		}
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		if budget != nil {
-			if berr := budget.Err(); berr != nil {
-				return nil, berr
-			}
-		}
+	// The coordinator runs no service node itself — every one belongs
+	// to a fragment — so the scheduler's Stats are empty and the folded
+	// worker accounting takes their place. FirstRow and Elapsed count
+	// from ExecutePlan's entry, host discovery and partitioning included.
+	setup := time.Since(start)
+	runner := &exec.Runner{K: c.K, BufferSize: c.BufferSize, JoinExcessPeak: c.JoinExcessPeak}
+	res, err := runner.RunChains(ctx, p, chains, dispatch)
+	if err != nil {
 		return nil, err
-	default:
 	}
-	// Distinguish our own k-satisfied cancellation from an external
-	// one (caller cancel, budget deadline): an externally cancelled
-	// run must not pass as a complete result.
-	if ctx.Err() != nil && !reached.Load() {
-		if budget != nil {
-			if berr := budget.Err(); berr != nil {
-				return nil, berr
-			}
-		}
-		return nil, ctx.Err()
+	res.Stats = stats
+	res.Elapsed += setup
+	if res.FirstRow > 0 {
+		res.FirstRow += setup
 	}
-	res.Rows = rows
-	res.Tuples = tuples
-	res.FirstRow = firstRow
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

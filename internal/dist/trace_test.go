@@ -234,3 +234,38 @@ func TestTracedFailoverAnnotatesAttempts(t *testing.T) {
 		t.Fatal("no dispatch span records a retry attempt")
 	}
 }
+
+// TestTracedBudgetTripClosesDispatchSpan: a dispatch refused because
+// the call cap is already spent — the request the slowlog retains —
+// still leaves a finished dist.execute.dispatch span naming the budget
+// error, not an open, error-free one.
+func TestTracedBudgetTripClosesDispatchSpan(t *testing.T) {
+	w := worlds[0]
+	co, _ := localCluster(t, w, 2)
+	p := optimizeOn(t, co, w.text)
+	b := serve.NewBudget(0, 1)
+	if err := b.Charge(1); err != nil {
+		t.Fatal(err) // the cap is consumed exactly, not exceeded
+	}
+	ctx, cancel := b.Context(context.Background())
+	defer cancel()
+	ctx, tr, root := tracedCtx(ctx)
+	if _, err := co.ExecutePlan(ctx, p); !errors.Is(err, serve.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	root.End()
+	dispatches := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "dist.execute.dispatch" {
+			continue
+		}
+		dispatches++
+		if sp.Dur == 0 || sp.Attrs["error"] == "" {
+			t.Errorf("dispatch span %d (attempt %s on %s): dur %d, error %q — a refused dispatch must end and say why",
+				sp.ID, sp.Attrs["attempt"], sp.Attrs["worker"], sp.Dur, sp.Attrs["error"])
+		}
+	}
+	if dispatches == 0 {
+		t.Fatal("no dist.execute.dispatch span recorded")
+	}
+}

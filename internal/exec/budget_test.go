@@ -102,17 +102,5 @@ func TestBudgetAbortNoGoroutineLeak(t *testing.T) {
 		}
 		cancel()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines did not settle to baseline %d\n%s",
-				before, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	settleGoroutines(t, before)
 }

@@ -3,11 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"mdq/internal/plan"
-	"mdq/internal/service"
 )
 
 // RunFragment executes a linear fragment of a plan — a chain of
@@ -48,109 +45,52 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	ex := &execution{
-		runner: r,
-		plan:   p,
-		ix:     NewVarIndex(p),
-		cache:  r.runCache(),
-		calls:  map[string]*service.Counter{},
-	}
-	for _, n := range chain {
-		if _, ok := ex.calls[n.Atom.Service]; !ok {
-			ex.calls[n.Atom.Service] = &service.Counter{}
-		}
-	}
+	// Parallel dispatch is deliberately disabled so the tail's emission
+	// order matches a sequential in-plan run.
+	seq := *r
+	seq.ParallelCalls = false
+	ex := seq.newExecution(ctx, p, chain)
+	defer ex.cancel()
 	for _, t := range seeds {
 		if t.Width() != ex.ix.Len() {
 			return nil, fmt.Errorf("exec: fragment seed has %d slots, plan layout has %d", t.Width(), ex.ix.Len())
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// One edge in front of every chain node plus one behind the tail.
+	// One edge in front of every chain node plus one behind the tail,
+	// with the seeds as the source stage and the sink as the last.
 	edges := make([]*edge, len(chain)+1)
 	for i := range edges {
 		edges[i] = &edge{ch: make(chan Tuple, r.bufferSize())}
 	}
-
-	// Seed the head.
-	go func() {
+	ex.spawn(func(ctx context.Context) error {
 		defer close(edges[0].ch)
 		for _, t := range seeds {
-			if emit(ctx, edges[:1], t) != nil {
-				return
+			if err := emit(ctx, edges[:1], t); err != nil {
+				return err
 			}
 		}
-	}()
-
-	// The stages: parallel dispatch is deliberately disabled so the
-	// tail's emission order matches a sequential in-plan run.
-	seq := *r
-	seq.ParallelCalls = false
-	ex.runner = &seq
-
-	errc := make(chan error, len(chain))
-	var wg sync.WaitGroup
+		return nil
+	})
 	for i, n := range chain {
-		i, n := i, n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := ex.runService(ctx, n, edges[i], edges[i+1:i+2]); err != nil && err != context.Canceled {
-				select {
-				case errc <- err:
-				default:
-				}
-				cancel()
-			}
-		}()
+		ex.spawn(func(ctx context.Context) error { return ex.runService(ctx, n, edges[i], edges[i+1:i+2]) })
 	}
-
-	var (
-		tuples  []Tuple
-		sinkErr error
-	)
+	// The sink stage runs on the caller's goroutine; a sink error
+	// cancels the run, which unblocks the stages still emitting.
+	var tuples []Tuple
 	for t := range edges[len(chain)].ch {
-		if sink != nil {
-			if err := sink(t); err != nil {
-				sinkErr = err
-				cancel()
-				break
-			}
-			continue
+		if sink == nil {
+			tuples = append(tuples, t)
+		} else if err := sink(t); err != nil {
+			ex.settle(err)
+			break
 		}
-		tuples = append(tuples, t)
 	}
-	// Drain whatever the stages still emit after a sink abort so they
-	// can shut down (emit also unblocks on the cancelled context).
-	for range edges[len(chain)].ch {
+	res, err := ex.wait()
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	select {
-	case err := <-errc:
-		return nil, budgetAbort(ctx, err)
-	default:
-	}
-	if sinkErr != nil {
-		return nil, sinkErr
-	}
-	if ctx.Err() != nil {
-		return nil, budgetAbort(ctx, ctx.Err())
-	}
-	res := &Result{
-		Tuples:  tuples,
-		Stats:   Stats{Calls: map[string]int64{}, Fetches: map[string]int64{}},
-		Elapsed: time.Since(start),
-	}
-	for name, c := range ex.calls {
-		res.Stats.Calls[name] = c.Calls()
-		res.Stats.Fetches[name] = c.Fetches()
-	}
-	r.feedback(ex)
+	res.Tuples = tuples
 	return res, nil
 }
 

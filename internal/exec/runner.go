@@ -47,6 +47,10 @@ func budgetAbort(ctx context.Context, err error) error {
 	return err
 }
 
+// maxParallel bounds concurrent invocations per stage in ParallelCalls
+// mode.
+const maxParallel = 16
+
 // Runner executes query plans against registered services as a
 // concurrent dataflow: one stage per plan node, channels along the
 // arcs, logical caching in front of every service, and early
@@ -68,9 +72,6 @@ type Runner struct {
 	// multithreading test of §6. It randomizes arrival order, which
 	// degrades the one-call cache exactly as the paper observed.
 	ParallelCalls bool
-	// MaxParallel bounds concurrent invocations per stage in
-	// ParallelCalls mode (default 16).
-	MaxParallel int
 	// SharedCache, when set, is used instead of a fresh cache built
 	// from Cache — the mechanism behind continued executions (§2.2):
 	// run a plan, raise its fetch factors, and re-run with the same
@@ -173,43 +174,7 @@ func (r *Runner) bufferSize() int {
 
 // Run executes the plan. The plan must be resolved and validated.
 func (r *Runner) Run(ctx context.Context, p *plan.Plan) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	ex := &execution{
-		runner: r,
-		plan:   p,
-		ix:     NewVarIndex(p),
-		cache:  r.runCache(),
-		calls:  map[string]*service.Counter{},
-		start:  start,
-	}
-	for _, n := range p.Nodes {
-		if n.Kind == plan.Service {
-			if _, ok := ex.calls[n.Atom.Service]; !ok {
-				ex.calls[n.Atom.Service] = &service.Counter{}
-			}
-		}
-	}
-	rows, tuples, err := ex.run(ctx)
-	if err != nil {
-		return nil, budgetAbort(ctx, err)
-	}
-	res := &Result{
-		Head:     p.Query.Head,
-		Rows:     rows,
-		Tuples:   tuples,
-		Stats:    Stats{Calls: map[string]int64{}, Fetches: map[string]int64{}},
-		Elapsed:  time.Since(start),
-		FirstRow: ex.firstRow,
-	}
-	for name, c := range ex.calls {
-		res.Stats.Calls[name] = c.Calls()
-		res.Stats.Fetches[name] = c.Fetches()
-	}
-	r.feedback(ex)
-	return res, nil
+	return r.RunChains(ctx, p, nil, nil)
 }
 
 // feedback offers each touched service's observation window a
@@ -231,142 +196,6 @@ func (r *Runner) feedback(ex *execution) {
 			ob.MaybeRefresh(*r.Feedback)
 		}
 	}
-}
-
-type execution struct {
-	runner *Runner
-	plan   *plan.Plan
-	ix     *VarIndex
-	cache  Cache
-	calls  map[string]*service.Counter
-	// start anchors firstRow; firstRow is written once, under the
-	// output stage's mutex, when the first result row lands.
-	start    time.Time
-	firstRow time.Duration
-}
-
-type edge struct {
-	ch chan Tuple
-}
-
-func (ex *execution) run(ctx context.Context) ([][]schema.Value, []Tuple, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// One channel per arc, indexed by (from, to).
-	type arcKey struct{ from, to int }
-	arcs := map[arcKey]*edge{}
-	for _, n := range ex.plan.Nodes {
-		for _, m := range n.Out {
-			arcs[arcKey{n.ID, m.ID}] = &edge{ch: make(chan Tuple, ex.runner.bufferSize())}
-		}
-	}
-	ins := func(n *plan.Node) []*edge {
-		out := make([]*edge, len(n.In))
-		for i, m := range n.In {
-			out[i] = arcs[arcKey{m.ID, n.ID}]
-		}
-		return out
-	}
-	outs := func(n *plan.Node) []*edge {
-		out := make([]*edge, len(n.Out))
-		for i, m := range n.Out {
-			out[i] = arcs[arcKey{n.ID, m.ID}]
-		}
-		return out
-	}
-
-	errc := make(chan error, len(ex.plan.Nodes))
-	var wg sync.WaitGroup
-	var (
-		mu      sync.Mutex
-		rows    [][]schema.Value
-		tuples  []Tuple
-		reached bool
-	)
-
-	for _, n := range ex.plan.Nodes {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			switch n.Kind {
-			case plan.Input:
-				err = ex.runInput(ctx, outs(n))
-			case plan.Service:
-				err = ex.runService(ctx, n, ins(n)[0], outs(n))
-			case plan.Join:
-				err = ex.runJoin(ctx, n, ins(n), outs(n))
-			case plan.Output:
-				err = func() error {
-					for t := range ins(n)[0].ch {
-						head, perr := t.Project(ex.ix, ex.plan.Query.Head)
-						if perr != nil {
-							return perr
-						}
-						mu.Lock()
-						if !reached {
-							rows = append(rows, head)
-							tuples = append(tuples, t)
-							if len(rows) == 1 {
-								ex.firstRow = time.Since(ex.start)
-							}
-							if ex.runner.K > 0 && len(rows) >= ex.runner.K {
-								reached = true
-								cancel()
-							}
-						}
-						mu.Unlock()
-					}
-					return nil
-				}()
-			}
-			if err != nil && err != context.Canceled {
-				select {
-				case errc <- err:
-				default:
-				}
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return nil, nil, err
-	default:
-	}
-	// Distinguish our own k-limit cancellation from an external one:
-	// an externally cancelled run must not pass as a complete result.
-	if ctx.Err() != nil && !reached {
-		return nil, nil, ctx.Err()
-	}
-	return rows, tuples, nil
-}
-
-// emit sends a tuple to every outgoing arc, honoring cancellation.
-func emit(ctx context.Context, outs []*edge, t Tuple) error {
-	for _, e := range outs {
-		select {
-		case e.ch <- t:
-		case <-ctx.Done():
-			return context.Canceled
-		}
-	}
-	return nil
-}
-
-func closeAll(outs []*edge) {
-	for _, e := range outs {
-		close(e.ch)
-	}
-}
-
-func (ex *execution) runInput(ctx context.Context, outs []*edge) error {
-	defer closeAll(outs)
-	// The user injects one single input tuple (§3.4).
-	return emit(ctx, outs, NewTuple(ex.ix))
 }
 
 func (ex *execution) runService(ctx context.Context, n *plan.Node, in *edge, outs []*edge) error {
@@ -403,11 +232,7 @@ func (ex *execution) runService(ctx context.Context, n *plan.Node, in *edge, out
 
 	// Multithreaded dispatch (§6): all pending calls of this stage go
 	// out on parallel threads; results interleave nondeterministically.
-	maxPar := ex.runner.MaxParallel
-	if maxPar <= 0 {
-		maxPar = 16
-	}
-	sem := make(chan struct{}, maxPar)
+	sem := make(chan struct{}, maxParallel)
 	var wg sync.WaitGroup
 	var firstErr error
 	var mu sync.Mutex

@@ -337,7 +337,7 @@ func Multithread(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &exec.Runner{Registry: fx2.World.Registry, Cache: card.OneCall, ParallelCalls: true, MaxParallel: 16}
+	r := &exec.Runner{Registry: fx2.World.Registry, Cache: card.OneCall, ParallelCalls: true}
 	rres, err := r.Run(ctx, p)
 	if err != nil {
 		return nil, err

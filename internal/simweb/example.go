@@ -1,11 +1,32 @@
 package simweb
 
 import (
+	"fmt"
+
 	"mdq/internal/abind"
 	"mdq/internal/cq"
 	"mdq/internal/plan"
 	"mdq/internal/schema"
+	"mdq/internal/service"
 )
+
+// World builds the simulated world the commands' -world flag names
+// (travel, bio, mashup or zipf) and returns its registry with the
+// world's example query text. Only the travel world takes options.
+func World(name string, travel TravelOptions) (*service.Registry, string, error) {
+	switch name {
+	case "travel":
+		return NewTravelWorld(travel).Registry, RunningExampleText, nil
+	case "bio":
+		return NewBioWorld().Registry, BioExampleText, nil
+	case "mashup":
+		return NewMashupWorld().Registry, MashupExampleText, nil
+	case "zipf":
+		return NewZipfWorld(0, 0, 0).Registry, ZipfExampleText, nil
+	default:
+		return nil, "", fmt.Errorf("unknown world %q (want travel, bio, mashup or zipf)", name)
+	}
+}
 
 // RunningExampleText is the query of Figure 3: database conferences
 // in the next six months, in locations at 28 °C or more, reachable
