@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race bench perf perf-smoke docscheck dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke load-baseline staticcheck ci
+.PHONY: build vet fmt test race bench perf perf-smoke docscheck dist-smoke share-smoke e2e-smoke chaos-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -29,11 +29,12 @@ bench:
 # Documentation gate: markdown links in the top-level docs and the
 # docs/ reference pages must resolve, and every exported identifier
 # in the optimizer, estimator, distribution, execution, serving,
-# result-cache and tracing packages must carry a doc comment.
+# result-cache, tracing and engine/handler packages must carry a doc
+# comment.
 docscheck:
 	$(GO) run ./cmd/docscheck \
 		-md README.md,ARCHITECTURE.md,ROADMAP.md,CHANGES.md,bench/README.md,docs/API.md,docs/OPERATIONS.md \
-		-pkg ./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/trace
+		-pkg ./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/trace,./internal/server
 
 # Distributed-optimization smoke: the coordinator/worker protocol
 # under the race detector — two-plus-worker LocalTransport clusters
@@ -47,11 +48,15 @@ dist-smoke:
 # worlds over LocalTransport and HTTP return byte-identical rows with
 # strictly fewer logical calls on repeats), the epoch-invalidation
 # staleness pins (a bump is never followed by a stale serve, locally
-# or via gossip), and the /query coalescer edge cases (leader budget
-# trips with live waiters, waiter detach, per-waiter traces).
+# or via gossip), the /query coalescer edge cases (leader budget
+# trips with live waiters, waiter detach, per-waiter traces), and the
+# handler tests that drive the real /query path under httptest both
+# single-process and over a two-worker fleet (local ≡ fleet rows, typed
+# 504 budget trips, request-count reconciliation with /metrics, slowlog
+# first_row_ms).
 share-smoke:
 	$(GO) test -race -count=1 -run 'TestResultCache|TestWorkerGossip' ./internal/dist
-	$(GO) test -race -count=1 ./internal/rescache ./internal/serve ./cmd/mdqserve
+	$(GO) test -race -count=1 ./internal/rescache ./internal/serve ./internal/server
 
 # End-to-end smoke: build the real binaries, start a coordinator and
 # two mdqworker processes over loopback HTTP, answer a query through
@@ -72,23 +77,6 @@ e2e-smoke:
 # and the coordinator's /fleet view must mark the dead worker down.
 chaos-smoke:
 	$(GO) test -tags e2e -count=1 -v -timeout 5m -run TestChaosWorkerKill ./e2e
-
-# Serving-path load smoke: a real coordinator + two-worker fleet over
-# loopback takes a short closed-loop load run (mdqbench -load), the
-# run must clear LOAD_BASELINE.json via loadgate under generous smoke
-# tolerances, client-side request counts must reconcile with the
-# server's /metrics, and a 1ms-deadline query must return a clean
-# budget-exceeded JSON error. Set MDQ_LOAD_ARTIFACTS to keep the run
-# JSON, /metrics and /slowlog snapshots for upload.
-load-smoke:
-	$(GO) test -tags e2e -count=1 -v -timeout 10m -run TestClosedLoopLoadGate ./e2e
-
-# Refresh the committed serving baseline (run on the reference
-# machine, against a freshly started fleet — see README).
-load-baseline:
-	$(GO) run ./cmd/mdqbench -load -clients 8 -warmup 2s -duration 10s \
-		-out LOAD_BASELINE.json \
-		-note "refreshed via make load-baseline on $$(uname -m), $$(date +%F)"
 
 # Static analysis beyond go vet. The staticcheck binary is not vendored
 # (this module is dependency-free); CI installs a pinned version. The
@@ -113,4 +101,4 @@ perf:
 perf-smoke:
 	$(GO) run ./bench/cmd/mdqperf -seconds 3
 
-ci: build vet fmt staticcheck docscheck race dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke bench perf-smoke
+ci: build vet fmt staticcheck docscheck race dist-smoke share-smoke e2e-smoke chaos-smoke bench perf-smoke

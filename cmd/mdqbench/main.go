@@ -7,17 +7,6 @@
 // Usage:
 //
 //	mdqbench [-only fig11]   # substring filter on report titles
-//
-// With -load it instead drives a closed-loop load run against a
-// running mdqserve (coordinator or single-process): N concurrent
-// clients POST templated /query requests, rotating the hotel-category
-// binding, and the run reports throughput and p50/p95/p99 latency
-// over the measured window, reconciled against the server's /metrics.
-// The JSON written by -out is the committed-baseline format
-// cmd/loadgate compares later runs against:
-//
-//	mdqbench -load -url http://127.0.0.1:8080 -clients 8 \
-//	    -warmup 2s -duration 10s -out load_run.json
 package main
 
 import (
@@ -33,25 +22,7 @@ import (
 
 func main() {
 	only := flag.String("only", "", "run only reports whose title contains this substring (case-insensitive)")
-	load := flag.Bool("load", false, "run a closed-loop load test against -url instead of the paper reports")
-	url := flag.String("url", "http://127.0.0.1:8080", "serving endpoint the load run drives")
-	clients := flag.Int("clients", 8, "closed-loop concurrent clients")
-	warmup := flag.Duration("warmup", 2*time.Second, "warmup phase excluded from measurement")
-	duration := flag.Duration("duration", 10*time.Second, "measured load duration")
-	k := flag.Int("k", 5, "answers per query in load mode")
-	out := flag.String("out", "", "write the load-run JSON (loadgate baseline format) to this file")
-	note := flag.String("note", "", "provenance note stored in the load-run JSON")
 	flag.Parse()
-
-	if *load {
-		if err := runLoad(loadConfig{
-			url: *url, clients: *clients, warmup: *warmup,
-			duration: *duration, k: *k, out: *out, note: *note,
-		}); err != nil {
-			log.Fatalf("mdqbench -load: %v", err)
-		}
-		return
-	}
 
 	start := time.Now()
 	reports, err := experiments.All(context.Background())

@@ -48,6 +48,7 @@ import (
 	"mdq/internal/opt"
 	"mdq/internal/rescache"
 	"mdq/internal/schema"
+	"mdq/internal/server"
 	"mdq/internal/service"
 	"mdq/internal/sim"
 	"mdq/internal/simweb"
@@ -155,15 +156,19 @@ func main() {
 	// cache, so overlapping bindings only pay for what they don't
 	// share — the CLI view of the server's cross-query sharing layer.
 	sharing := len(queries) > 1
-	var pc *opt.PlanCache
+	eng := &server.Engine{Registry: reg, Parallelism: *parallel, BufferSize: *buffer}
 	var store *rescache.Store
 	if sharing {
-		pc = opt.NewPlanCacheWith(opt.Policy{Capacity: 64})
-		reg.SubscribeEpochs(pc, pc.InvalidateService)
+		eng.Cache = opt.NewPlanCacheWith(opt.Policy{Capacity: 64})
+		reg.SubscribeEpochs(eng.Cache, eng.Cache.InvalidateService)
 		if *rescacheN != 0 {
 			store = rescache.New(rescache.Config{MaxEntries: *rescacheN})
 			store.Bind(reg)
+			eng.ResultCache = store
 		}
+	}
+	if *feedback {
+		eng.Feedback = &service.FeedbackPolicy{}
 	}
 
 	for qi, bq := range queries {
@@ -173,10 +178,9 @@ func main() {
 			}
 			fmt.Printf("== bindings: %s\n", bq.label)
 		}
-		runQuery(ctx, reg, sch, bq.q, runConfig{
-			metric: m, mode: mode, k: *k, useSim: *useSim, expand: *expand,
-			feedback: *feedback, parallel: *parallel, buffer: *buffer,
-			doTrace: *doTrace, template: sharing, planCache: pc, store: store,
+		runQuery(ctx, eng, sch, bq.q, runConfig{
+			knobs:  server.Knobs{Metric: m, Estimator: card.Config{Mode: mode}, K: *k},
+			useSim: *useSim, expand: *expand, doTrace: *doTrace, template: sharing,
 		})
 	}
 	if store != nil {
@@ -187,23 +191,17 @@ func main() {
 
 // runConfig carries the per-run knobs of runQuery.
 type runConfig struct {
-	metric    cost.Metric
-	mode      card.CacheMode
-	k         int
-	useSim    bool
-	expand    bool
-	feedback  bool
-	parallel  int
-	buffer    int
-	doTrace   bool
-	template  bool
-	planCache *opt.PlanCache
-	store     *rescache.Store
+	knobs    server.Knobs
+	useSim   bool
+	expand   bool
+	doTrace  bool
+	template bool
 }
 
 // runQuery optimizes and executes one bound query and prints its
 // answers, call accounting and optional trace.
-func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q *cq.Query, cfg runConfig) {
+func runQuery(ctx context.Context, eng *server.Engine, sch *schema.Schema, q *cq.Query, cfg runConfig) {
+	reg, kn := eng.Registry, cfg.knobs
 	if err := q.Resolve(sch); err != nil {
 		log.Fatal(err)
 	}
@@ -223,27 +221,22 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 	if cfg.doTrace {
 		qtrace = trace.New("")
 		rootSp = qtrace.Root("query")
+		ctx = trace.With(ctx, rootSp)
 	}
-	o := &opt.Optimizer{Metric: cfg.metric, Estimator: card.Config{Mode: cfg.mode}, K: cfg.k,
-		ChooseMethod: reg.MethodChooser(), Parallelism: cfg.parallel, Epochs: reg,
-		Cache: cfg.planCache, CacheSalt: reg.CacheSalt()}
-	osp := rootSp.Child("optimize")
-	o.Span = osp
-	var res *opt.Result
-	var err error
-	if cfg.template && cfg.planCache != nil {
-		res, err = o.OptimizeTemplate(q)
-	} else {
-		res, err = o.Optimize(q)
+	optimize := eng.Optimize
+	if cfg.template {
+		optimize = eng.OptimizeTemplate
 	}
-	osp.End()
+	res, err := optimize(ctx, q, kn)
 	if err != nil {
 		log.Fatal(err)
 	}
-	costLine := fmt.Sprintf("%s cost %.2f", cfg.metric.Name(), res.Cost)
+	costLine := fmt.Sprintf("%s cost %.2f", kn.Metric.Name(), res.Cost)
 	// Show the uniform-model estimate when profiled value
 	// distributions moved this binding's cost away from it.
-	if uni := o.UniformCost(res); uni != res.Cost {
+	uniform := res.Best.Clone()
+	card.Config{Mode: kn.Estimator.Mode, NoValueStats: true}.Annotate(uniform)
+	if uni := kn.Metric.Cost(uniform); uni != res.Cost {
 		costLine += fmt.Sprintf(", uniform %.2f", uni)
 	}
 	fmt.Printf("plan: %s   (%s)\n\n", res.Best.Describe(), costLine)
@@ -254,32 +247,23 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 		extra string
 	)
 	if cfg.useSim {
-		s := &sim.Simulator{Registry: reg, Cache: cfg.mode, K: cfg.k}
+		s := &sim.Simulator{Registry: reg, Cache: kn.Estimator.Mode, K: kn.K}
 		out, err := s.Run(ctx, res.Best)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, r := range out.Rows {
-			rows = append(rows, render(r))
+			rows = append(rows, server.RenderRow(r))
 		}
 		calls = out.Stats.Calls
 		extra = fmt.Sprintf("virtual makespan: %.1fs", out.Makespan.Seconds())
 	} else {
-		r := &exec.Runner{Registry: reg, Cache: cfg.mode, K: cfg.k, BufferSize: cfg.buffer}
-		if cfg.store != nil {
-			r.ResultCache = cfg.store
-		}
-		if cfg.feedback {
-			r.Feedback = &service.FeedbackPolicy{}
-		}
-		esp := rootSp.Child("execute")
-		out, err := r.Run(trace.With(ctx, esp), res.Best)
-		esp.End()
+		out, err := eng.Execute(ctx, res.Best, kn)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, row := range out.Rows {
-			rows = append(rows, render(row))
+			rows = append(rows, server.RenderRow(row))
 		}
 		calls = out.Stats.Calls
 		extra = fmt.Sprintf("wall time: %s", out.Elapsed)
@@ -302,13 +286,13 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 		fmt.Printf(" %s=%d", svc, calls[svc])
 	}
 	fmt.Println()
-	if cfg.feedback {
+	if eng.Feedback != nil {
 		epochs := reg.Epochs()
 		if len(epochs) == 0 {
 			fmt.Println("feedback: no profile drifted enough to refresh")
 		} else {
 			fmt.Print("feedback: refreshed epochs")
-			for _, svc := range sortedEpochKeys(epochs) {
+			for _, svc := range sortedKeys(epochs) {
 				st, _ := reg.Lookup(svc)
 				fmt.Printf(" %s@%d(ξ=%.2f)", svc, epochs[svc], st.Signature().Statistics().ERSPI)
 			}
@@ -322,41 +306,12 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 	}
 }
 
-func sortedEpochKeys(m map[string]uint64) []string {
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func render(row []schema.Value) []string {
-	out := make([]string, len(row))
-	for i, v := range row {
-		switch v.Kind {
-		case schema.StringValue:
-			out[i] = v.Str
-		case schema.DateValue:
-			out[i] = v.Time().Format("2006-01-02")
-		default:
-			out[i] = strings.TrimSuffix(fmt.Sprintf("%.2f", v.Num), ".00")
-		}
-	}
-	return out
-}
-
-func sortedKeys(m map[string]int64) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
 	return out
 }

@@ -61,16 +61,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"mdq/internal/dist"
@@ -79,6 +74,7 @@ import (
 	"mdq/internal/opt"
 	"mdq/internal/rescache"
 	"mdq/internal/serve"
+	"mdq/internal/server"
 	"mdq/internal/service"
 	"mdq/internal/simweb"
 )
@@ -123,17 +119,19 @@ func main() {
 		worker.Feedback = &service.FeedbackPolicy{MinCalls: *minCalls, MinDrift: *minDrift}
 	}
 
-	if *cacheFile != "" {
-		if n, err := pc.LoadFile(*cacheFile, reg); err != nil {
-			if !os.IsNotExist(err) {
-				log.Fatalf("loading cache file: %v", err)
-			}
-		} else {
-			fmt.Printf("warmed %d template entries from %s\n", n, *cacheFile)
-		}
+	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
+	proc := &server.Process{
+		Addr:         *addr,
+		Handler:      mux,
+		DrainTimeout: *drainTimeout,
+		Registry:     reg,
+		PlanCache:    pc,
+		CacheFile:    *cacheFile,
+	}
+	if err := proc.LoadCache(); err != nil {
+		log.Fatal(err)
 	}
 
-	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
 	metrics := serve.NewMetrics()
 	if *rescacheN != 0 {
 		store := rescache.New(rescache.Config{MaxEntries: *rescacheN, MaxBytes: *rescacheBytes, TTL: *rescacheTTL})
@@ -144,77 +142,13 @@ func main() {
 	mux.Handle("/dist/", instrumentWorker(metrics, worker.Handler()))
 	mux.Handle("/metrics", metrics.Handler())
 	if *pprofFlag {
-		// Opt-in only: profiles expose internals, so the endpoints are
-		// mounted solely behind the flag (enable on trusted networks).
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		server.MountPprof(mux)
 	}
 	fmt.Printf("mdqworker: %s world (%v) on %s (execute=%v)\n", *worldName, names, *addr, *execute)
 	fmt.Printf("endpoints: POST /dist/search, /dist/sync, /dist/gossip, /dist/execute; GET|POST /dist/templates; GET /dist/info; GET /dist/health; GET /metrics\n")
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	if err := proc.Run(); err != nil {
 		log.Fatal(err)
-	case s := <-sig:
-		fmt.Printf("received %v: draining in-flight requests\n", s)
-	}
-
-	// Drain in-flight fragment executions and searches before the
-	// feedback flush and cache save, so what they learned is persisted.
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sdCtx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if n := reg.RefreshObserved(); n > 0 {
-		fmt.Printf("flushed pending feedback into %d profile(s)\n", n)
-	}
-	if *cacheFile != "" {
-		if err := pc.SaveFile(*cacheFile); err != nil {
-			log.Fatalf("saving cache file: %v", err)
-		}
-		fmt.Printf("saved template cache to %s\n", *cacheFile)
-	}
-}
-
-// statusWriter records the status a worker endpoint returned.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(status int) {
-	if sw.status == 0 {
-		sw.status = status
-	}
-	sw.ResponseWriter.WriteHeader(status)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-// Flush keeps the fragment stream's flushing working through the
-// wrapper.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
 	}
 }
 
@@ -225,15 +159,15 @@ func instrumentWorker(m *serve.Metrics, h http.Handler) http.Handler {
 		inflight := m.Gauge("mdq_worker_inflight_requests", "Protocol requests currently executing.")
 		inflight.Add(1)
 		defer inflight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &server.CountingWriter{ResponseWriter: w}
 		start := time.Now()
 		h.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		if sw.Status == 0 {
+			sw.Status = http.StatusOK
 		}
 		m.CounterL("mdq_worker_requests_total",
 			"Protocol requests by endpoint and status code.",
-			"endpoint", r.URL.Path, "code", strconv.Itoa(sw.status)).Inc()
+			"endpoint", r.URL.Path, "code", strconv.Itoa(sw.Status)).Inc()
 		m.HistogramL("mdq_worker_request_seconds",
 			"Protocol request latency.", nil, "endpoint", r.URL.Path).Observe(time.Since(start).Seconds())
 	})

@@ -2,16 +2,31 @@ package mdq_test
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mdq"
 )
 
+// attachWorkers routes s through a fleet of two in-process workers
+// and returns them.
+func attachWorkers(s *mdq.System) []*mdq.DistWorker {
+	var ws []*mdq.DistWorker
+	for i := 0; i < 2; i++ {
+		w := s.NewDistWorker(16)
+		w.Parallelism = 1
+		ws = append(ws, w)
+		s.Workers = append(s.Workers, mdq.DistLocalTransport{Worker: w})
+	}
+	return ws
+}
+
 // TestDistributedOptimizeFacade: the public distributed surface —
-// attach two in-process workers, shard a search across them, and get
-// the sequential optimizer's plan back; template bindings then serve
-// from the workers' caches, and executing the merged plan answers the
-// query.
+// attach two in-process workers and the same Optimize shards the
+// search across them and returns the sequential optimizer's plan;
+// template bindings then serve from the workers' caches, and executing
+// the merged plan answers the query.
 func TestDistributedOptimizeFacade(t *testing.T) {
 	s := demoSystem(t)
 	s.K = 5
@@ -25,12 +40,8 @@ func TestDistributedOptimizeFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < 2; i++ {
-		w := s.NewDistWorker(16)
-		w.Parallelism = 1
-		s.Workers = append(s.Workers, mdq.DistLocalTransport{Worker: w})
-	}
-	got, err := s.DistributedOptimize(context.Background(), q)
+	attachWorkers(s)
+	got, err := s.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestDistributedOptimizeFacade(t *testing.T) {
 			got.Cost, got.Best.Signature(), want.Cost, want.Best.Signature())
 	}
 
-	// The merged plan executes like any locally optimized one.
+	// The merged plan executes through the fleet too.
 	res, err := s.Execute(context.Background(), got.Best)
 	if err != nil {
 		t.Fatal(err)
@@ -53,32 +64,25 @@ func TestDistributedOptimizeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, r1, err := s.DistributedOptimizeBound(context.Background(), tpl, bindings("sushi"))
+	_, r1, err := s.OptimizeBound(tpl, bindings("sushi"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.TemplateHit {
 		t.Fatal("cold distributed template call claimed a hit")
 	}
-	_, r2, err := s.DistributedOptimizeBound(context.Background(), tpl, bindings("tapas"))
+	_, r2, err := s.OptimizeBound(tpl, bindings("tapas"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.TemplateHit {
 		t.Fatal("second distributed binding missed the worker template caches")
 	}
-
-	// Without workers the facade refuses rather than silently
-	// degrading.
-	bare := demoSystem(t)
-	if _, err := bare.DistributedOptimize(context.Background(), q); err == nil {
-		t.Fatal("DistributedOptimize without workers did not error")
-	}
 }
 
 // TestDistributedAnswerFacade: the end-to-end public pipeline —
-// distributed optimization plus fragment execution returns the exact
-// rows a local Answer produces.
+// Answer on a system with workers (distributed optimization plus
+// fragment execution) returns the exact rows a local Answer produces.
 func TestDistributedAnswerFacade(t *testing.T) {
 	s := demoSystem(t)
 	s.K = 5
@@ -96,12 +100,8 @@ func TestDistributedAnswerFacade(t *testing.T) {
 
 	fleet := demoSystem(t)
 	fleet.K = 5
-	for i := 0; i < 2; i++ {
-		w := fleet.NewDistWorker(16)
-		w.Parallelism = 1
-		fleet.Workers = append(fleet.Workers, mdq.DistLocalTransport{Worker: w})
-	}
-	res, ores, err := fleet.DistributedAnswer(context.Background(), demoQuery)
+	attachWorkers(fleet)
+	res, ores, err := fleet.Answer(context.Background(), demoQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,31 @@ func TestDistributedAnswerFacade(t *testing.T) {
 			}
 		}
 	}
+}
 
-	bare := demoSystem(t)
-	if _, err := bare.DistributedExecute(context.Background(), ores.Best); err == nil {
-		t.Fatal("DistributedExecute without workers did not error")
+// TestBudgetHonouredLocalAndFleet: System.Budget bounds a query end
+// to end whichever way it runs — a one-call cap trips Answer on a
+// plain system and on a system whose workers did the search.
+func TestBudgetHonouredLocalAndFleet(t *testing.T) {
+	for _, fleet := range []bool{false, true} {
+		s := demoSystem(t)
+		s.K = 5
+		var workers []*mdq.DistWorker
+		if fleet {
+			workers = attachWorkers(s)
+		}
+		s.Budget = mdq.NewBudget(time.Minute, 1)
+		_, _, err := s.Answer(context.Background(), demoQuery)
+		if !errors.Is(err, mdq.ErrBudgetExceeded) {
+			t.Fatalf("fleet=%v: Answer under a 1-call budget returned %v after %d calls, want ErrBudgetExceeded",
+				fleet, err, s.Budget.Calls())
+		}
+		var searches uint64
+		for _, w := range workers {
+			searches += w.Cache().Stats().Searches
+		}
+		if fleet && searches == 0 {
+			t.Fatal("Answer with System.Workers set never reached a worker")
+		}
 	}
 }

@@ -129,3 +129,17 @@ func TestTracedFleetQuery(t *testing.T) {
 		t.Errorf("GET /trace/%s = %+v, want the stored dump", qr.TraceID, stored)
 	}
 }
+
+// artifactsDir returns where diagnostic artifacts go: the directory
+// named by MDQ_LOAD_ARTIFACTS (created if needed, kept after the run
+// so CI can upload it on failure) or a test temp dir.
+func artifactsDir(t *testing.T) string {
+	t.Helper()
+	if dir := os.Getenv("MDQ_LOAD_ARTIFACTS"); dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatalf("creating artifacts dir %s: %v", dir, err)
+		}
+		return dir
+	}
+	return t.TempDir()
+}

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"bytes"
@@ -13,7 +13,6 @@ import (
 
 	"mdq/internal/opt"
 	"mdq/internal/schema"
-	"mdq/internal/serve"
 	"mdq/internal/service"
 	"mdq/internal/tabsvc"
 )
@@ -55,7 +54,7 @@ func (g *gatedTable) Invoke(ctx context.Context, pat int, req service.Request) (
 }
 
 // newCoalesceFixture builds a single-service world behind a gate and
-// a /query server with coalescing on, mirroring main()'s wiring.
+// a /query server with coalescing on.
 func newCoalesceFixture(t *testing.T) (*gatedTable, *httptest.Server, *observability) {
 	t.Helper()
 	sig := &schema.Signature{
@@ -72,19 +71,21 @@ func newCoalesceFixture(t *testing.T) (*gatedTable, *httptest.Server, *observabi
 	reg := service.NewRegistry()
 	reg.MustRegister(gate)
 
-	srv := &optimizeServer{
-		reg:        reg,
-		cache:      opt.NewPlanCache(16),
-		parallel:   1,
-		revalRatio: opt.DefaultRevalidateRatio,
-		coalescer:  &serve.Coalescer{},
-	}
-	obs := newObservability(64, time.Second, 16, 0, 0)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", obs.instrument("/query", srv.query))
-	ts := httptest.NewServer(mux)
+	srv := New(http.NewServeMux(), Config{
+		Engine: &Engine{
+			Registry:        reg,
+			Cache:           opt.NewPlanCache(16),
+			Parallelism:     1,
+			RevalidateRatio: opt.DefaultRevalidateRatio,
+		},
+		Coalesce:    true,
+		MaxInFlight: 64,
+		QueueWait:   time.Second,
+		SlowlogCap:  16,
+	})
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return gate, ts, obs
+	return gate, ts, srv.obs
 }
 
 type queryReply struct {

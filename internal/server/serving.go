@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"context"
@@ -91,32 +91,35 @@ func statsFrom(ctx context.Context) *reqStats {
 	return &reqStats{}
 }
 
-// countingWriter tracks the status code and body bytes a handler
-// produced.
-type countingWriter struct {
+// CountingWriter tracks the status code and body bytes a handler
+// produced (Status stays 0 until the handler writes).
+type CountingWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	Status int
+	Bytes  int64
 }
 
-func (cw *countingWriter) WriteHeader(status int) {
-	if cw.status == 0 {
-		cw.status = status
+// WriteHeader records the first status written.
+func (cw *CountingWriter) WriteHeader(status int) {
+	if cw.Status == 0 {
+		cw.Status = status
 	}
 	cw.ResponseWriter.WriteHeader(status)
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.status == 0 {
-		cw.status = http.StatusOK
+// Write counts the body bytes (an implicit 200 when no header was
+// written).
+func (cw *CountingWriter) Write(p []byte) (int, error) {
+	if cw.Status == 0 {
+		cw.Status = http.StatusOK
 	}
 	n, err := cw.ResponseWriter.Write(p)
-	cw.bytes += int64(n)
+	cw.Bytes += int64(n)
 	return n, err
 }
 
 // Flush lets streaming handlers keep flushing through the wrapper.
-func (cw *countingWriter) Flush() {
+func (cw *CountingWriter) Flush() {
 	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -176,7 +179,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			st.Trace = trace.New("")
 			st.TraceRoot = st.Trace.Root(endpoint)
 		}
-		cw := &countingWriter{ResponseWriter: w}
+		cw := &CountingWriter{ResponseWriter: w}
 		start := time.Now()
 		ctx := context.WithValue(r.Context(), reqStatsKey{}, st)
 		if st.TraceRoot != nil {
@@ -184,13 +187,13 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 		}
 		h(cw, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		if cw.status == 0 {
-			cw.status = http.StatusOK
+		if cw.Status == 0 {
+			cw.Status = http.StatusOK
 		}
 
 		o.metrics.CounterL("mdq_requests_total",
 			"Requests by endpoint and status code.",
-			"endpoint", endpoint, "code", strconv.Itoa(cw.status)).Inc()
+			"endpoint", endpoint, "code", strconv.Itoa(cw.Status)).Inc()
 		o.metrics.HistogramL("mdq_request_seconds",
 			"End-to-end request latency.", nil, "endpoint", endpoint).Observe(elapsed.Seconds())
 		if st.Optimize > 0 {
@@ -214,7 +217,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 				"Result rows returned to clients.").Add(float64(st.Rows))
 		}
 		o.metrics.Counter("mdq_bytes_streamed_total",
-			"Response body bytes streamed to clients.").Add(float64(cw.bytes))
+			"Response body bytes streamed to clients.").Add(float64(cw.Bytes))
 		if st.CacheClass != "" {
 			o.metrics.CounterL("mdq_plan_cache_serves_total",
 				"Optimizations by plan-cache outcome class.", "class", st.CacheClass).Inc()
@@ -227,7 +230,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			Time:            start,
 			Endpoint:        endpoint,
 			Query:           st.Query,
-			Status:          cw.status,
+			Status:          cw.Status,
 			Elapsed:         elapsed.Seconds(),
 			OptimizeSeconds: st.Optimize.Seconds(),
 			ExecuteSeconds:  st.Execute.Seconds(),
@@ -235,7 +238,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			Calls:           st.Calls,
 			CacheClass:      st.CacheClass,
 			Rows:            st.Rows,
-			Bytes:           cw.bytes,
+			Bytes:           cw.Bytes,
 		}
 		if st.Err != nil {
 			rec.Error = st.Err.Error()
@@ -316,25 +319,11 @@ func budgetAware(b *serve.Budget, err error) error {
 	return err
 }
 
-// writeQueryError maps a handler failure to the wire: budget trips
-// become 504 with the budget_exceeded marker, everything else keeps
-// the given status.
-func writeQueryError(w http.ResponseWriter, status int, err error, phase string) {
-	if errors.Is(err, serve.ErrBudgetExceeded) {
-		writeErrorEnv(w, apiError{
-			Error:          fmt.Sprintf("%s: %v", phase, err),
-			Status:         http.StatusGatewayTimeout,
-			BudgetExceeded: true,
-		})
-		return
-	}
-	writeError(w, status, "%s: %v", phase, err)
-}
-
-// writeQueryFailure is writeQueryError for errors that already carry
-// their phase prefix (runQuery wraps them before they cross the
-// coalescer, so waiters inherit the leader's phase too).
-func writeQueryFailure(w http.ResponseWriter, status int, err error) {
+// writeQueryFailure maps a failed request to the wire: budget trips
+// become 504 with the budget_exceeded marker, everything else 422. The
+// error already carries its phase prefix (runQuery wraps it before it
+// crosses the coalescer, so waiters inherit the leader's phase too).
+func writeQueryFailure(w http.ResponseWriter, err error) {
 	if errors.Is(err, serve.ErrBudgetExceeded) {
 		writeErrorEnv(w, apiError{
 			Error:          err.Error(),
@@ -343,7 +332,7 @@ func writeQueryFailure(w http.ResponseWriter, status int, err error) {
 		})
 		return
 	}
-	writeError(w, status, "%v", err)
+	writeError(w, http.StatusUnprocessableEntity, "%v", err)
 }
 
 // cacheClass classifies how the optimizer answered for accounting:

@@ -28,7 +28,11 @@
 //     binding of a template is re-costed individually
 //     (System.UniformSelectivity reverts to the paper's uniform
 //     model);
-//   - wraps services over HTTP in both directions.
+//   - wraps services over HTTP in both directions;
+//   - runs the same pipeline over a worker fleet: setting
+//     System.Workers routes Optimize, OptimizeBound, Execute and Answer
+//     through sharded search and worker-side fragment execution, with
+//     identical plans and answers.
 //
 // The quickstart in examples/quickstart shows the whole lifecycle in
 // about fifty lines.
@@ -52,6 +56,7 @@ import (
 	"mdq/internal/plan"
 	"mdq/internal/schema"
 	"mdq/internal/serve"
+	"mdq/internal/server"
 	"mdq/internal/service"
 	"mdq/internal/sim"
 	"mdq/internal/tabsvc"
@@ -198,15 +203,20 @@ type System struct {
 	// (every value equally likely). Useful for A/B-ing the effect of
 	// histograms; cache keys distinguish the two modes.
 	UniformSelectivity bool
-	// Workers, when non-empty, are the remote optimization workers
-	// DistributedOptimize shards the search across (see NewDistWorker,
-	// DistLocalTransport and DistHTTPTransport). Statistics-epoch
-	// bumps reach their plan caches through StartGossip.
+	// Workers, when non-empty, route Optimize, OptimizeBound, Execute
+	// and Answer through a worker fleet (see NewDistWorker,
+	// DistLocalTransport and DistHTTPTransport): searches shard across
+	// the workers and plans execute as worker-side fragments, so this
+	// process invokes no service itself. In-process workers share this
+	// system's registry, so statistics-epoch bumps reach their plan
+	// caches directly; a fleet of remote mdqworker processes is served
+	// by mdqserve -workers, which also runs the gossip loop.
 	Workers []DistTransport
-	// Budget, when non-nil, bounds the next query end to end: the
-	// optimizer checks its deadline during the search, and Execute
-	// carries it into the runner, where every logical service call is
-	// charged against the call cap. A tripped budget aborts with an
+	// Budget, when non-nil, bounds the next query end to end, in
+	// single-process and fleet mode alike: the search checks its
+	// deadline, and Execute carries it into the runner or the fleet
+	// coordinator, where every logical service call is charged against
+	// the call cap. A tripped budget aborts with an
 	// error matching ErrBudgetExceeded. Budgets are single-query:
 	// build a fresh one per query (NewBudget) rather than sharing the
 	// System field across concurrent callers.
@@ -271,9 +281,11 @@ func (s *System) Parse(query string) (*Query, error) {
 	return q, nil
 }
 
-// optimizer assembles the optimizer for this system's settings and
-// wires the plan cache into the registry's stats-epoch feed.
-func (s *System) optimizer() *opt.Optimizer {
+// engine assembles the query engine for this system's current
+// settings and wires the plan cache into the registry's stats-epoch
+// feed. With Workers set, the engine routes every call through the
+// fleet.
+func (s *System) engine() *server.Engine {
 	p := s.Parallelism
 	if p == 0 {
 		p = opt.AutoParallelism
@@ -284,26 +296,47 @@ func (s *System) optimizer() *opt.Optimizer {
 		// touching the refreshed service.
 		s.registry.SubscribeEpochs(s.PlanCache, s.PlanCache.InvalidateService)
 	}
-	return &opt.Optimizer{
-		Metric:          s.Metric,
-		Estimator:       card.Config{Mode: s.Cache, NoValueStats: s.UniformSelectivity},
-		K:               s.K,
-		ChooseMethod:    s.registry.MethodChooser(),
-		Parallelism:     p,
+	return &server.Engine{
+		Registry:        s.registry,
 		Cache:           s.PlanCache,
-		CacheSalt:       s.registry.CacheSalt(),
-		Epochs:          s.registry,
+		Parallelism:     p,
 		RevalidateRatio: s.RevalidateRatio,
-		Budget:          s.Budget,
+		Feedback:        s.Feedback,
+		Workers:         s.Workers,
 	}
+}
+
+// knobs are this system's per-query settings.
+func (s *System) knobs() server.Knobs {
+	return server.Knobs{
+		Metric:    s.Metric,
+		Estimator: card.Config{Mode: s.Cache, NoValueStats: s.UniformSelectivity},
+		K:         s.K,
+	}
+}
+
+// budgeted attaches System.Budget to a context that does not already
+// carry a budget.
+func (s *System) budgeted(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.Budget != nil && serve.FromContext(ctx) == nil {
+		return s.Budget.Context(ctx)
+	}
+	return ctx, func() {}
 }
 
 // Optimize runs the three-phase branch and bound and returns the
 // cheapest executable plan together with search statistics. The
 // search parallelizes over System.Parallelism workers and consults
-// System.PlanCache when one is attached.
+// System.PlanCache when one is attached. With System.Workers set the
+// search shards across them instead — each worker searches one
+// congruence-class slice of the assignment space against its own
+// registry and plan cache, with the incumbent bound min-merged between
+// them while they run — and the merged plan is identical, provided the
+// workers' service statistics agree with this system's.
 func (s *System) Optimize(q *Query) (*OptimizeResult, error) {
-	return s.optimizer().Optimize(q)
+	ctx, cancel := s.budgeted(context.Background())
+	defer cancel()
+	return s.engine().Optimize(ctx, q, s.knobs())
 }
 
 // OptimizeBound binds a template and optimizes the bound query
@@ -311,7 +344,8 @@ func (s *System) Optimize(q *Query) (*OptimizeResult, error) {
 // template share a single branch-and-bound search, and each binding
 // only re-runs the cheap cost phase (selectivity and fetch-vector
 // re-estimation) on the cached plan skeleton. Without a PlanCache it
-// degrades to Bind + Optimize. The bound, resolved query is returned
+// degrades to Bind + Optimize; with System.Workers the workers'
+// template caches serve instead. The bound, resolved query is returned
 // alongside the result so the caller can execute the plan.
 func (s *System) OptimizeBound(tpl *Template, values map[string]Value) (*Query, *OptimizeResult, error) {
 	q, err := tpl.Bind(values)
@@ -321,7 +355,9 @@ func (s *System) OptimizeBound(tpl *Template, values map[string]Value) (*Query, 
 	if err := s.ResolveQuery(q); err != nil {
 		return nil, nil, err
 	}
-	res, err := s.optimizer().OptimizeTemplate(q)
+	ctx, cancel := s.budgeted(context.Background())
+	defer cancel()
+	res, err := s.engine().OptimizeTemplate(ctx, q, s.knobs())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,13 +381,17 @@ func (s *System) AnswerBound(ctx context.Context, tpl *Template, values map[stri
 // Execute runs a plan against the registered services with the
 // system's caching level, stopping after K answers (0 drains). With
 // System.Feedback set, observed services absorb the run's traffic
-// into their profiles afterwards.
+// into their profiles afterwards. With System.Workers set the plan
+// runs across them as fragments instead: each linear chain ships —
+// with the tuples flowing into it — to a worker whose registry hosts
+// its services, streams its tail tuples back, and this system joins
+// the streams, projects the head and truncates at K; the result is
+// tuple-identical, and workers fold the traffic into their own
+// profiles under their own feedback policy.
 func (s *System) Execute(ctx context.Context, p *Plan) (*ExecResult, error) {
-	if s.Budget != nil && serve.FromContext(ctx) == nil {
-		ctx = serve.WithBudget(ctx, s.Budget)
-	}
-	r := &exec.Runner{Registry: s.registry, Cache: s.Cache, K: s.K, Feedback: s.Feedback}
-	return r.Run(ctx, p)
+	ctx, cancel := s.budgeted(ctx)
+	defer cancel()
+	return s.engine().Execute(ctx, p, s.knobs())
 }
 
 // Answer optimizes and executes in one step: the paper's end-to-end
@@ -515,10 +555,12 @@ type Cache = exec.Cache
 func NewCache(mode CacheMode) Cache { return exec.NewCache(mode) }
 
 // ExecuteShared runs a plan with an externally owned cache, so
-// subsequent continuations can reuse every call already made.
+// subsequent continuations can reuse every call already made
+// (single-process execution only: a fleet's workers own their caches).
 func (s *System) ExecuteShared(ctx context.Context, p *Plan, cache Cache) (*ExecResult, error) {
-	r := &exec.Runner{Registry: s.registry, Cache: s.Cache, K: s.K, SharedCache: cache, Feedback: s.Feedback}
-	return r.Run(ctx, p)
+	kn := s.knobs()
+	kn.SharedCache = cache
+	return s.engine().Execute(ctx, p, kn)
 }
 
 // Continue produces more answers for a previously executed plan
@@ -639,18 +681,15 @@ func (s *System) ExpandQuery(q *Query, maxExtra int) (*Query, int, error) {
 	return opt.Expand(q, sch, maxExtra)
 }
 
-// Distributed optimization & execution surface: a coordinator (this
-// system) shards the branch-and-bound across workers, shares the
-// incumbent bound over the wire, gossips statistics epochs to remote
-// plan caches, and executes winning plans as worker-side fragments
-// with tuple streaming. See internal/dist for the protocol.
+// Distributed optimization & execution surface: with System.Workers
+// set, this system coordinates — it shards the branch-and-bound across
+// the workers, shares the incumbent bound over the wire, and executes
+// winning plans as worker-side fragments with tuple streaming. See
+// internal/dist for the protocol.
 type (
 	// DistWorker executes shard searches against a local registry and
 	// plan cache — the server side of distributed optimization.
 	DistWorker = dist.Worker
-	// DistCoordinator fans searches out over workers and merges the
-	// per-shard winners deterministically.
-	DistCoordinator = dist.Coordinator
 	// DistTransport is a coordinator's handle on one worker.
 	DistTransport = dist.Transport
 	// DistLocalTransport wires an in-process worker (tests, single
@@ -684,114 +723,6 @@ type (
 // shard inside one binary.
 func (s *System) NewDistWorker(cacheCapacity int) *DistWorker {
 	return dist.NewWorker(s.registry, opt.NewPlanCache(cacheCapacity))
-}
-
-// Coordinator assembles a distributed-optimization coordinator over
-// System.Workers with this system's current settings. Most callers
-// use DistributedOptimize directly; the coordinator is exposed for
-// template-level distributed serving, warmup and gossip control.
-func (s *System) Coordinator() *DistCoordinator {
-	return &dist.Coordinator{
-		Registry:        s.registry,
-		Workers:         s.Workers,
-		Metric:          s.Metric,
-		Mode:            s.Cache,
-		K:               s.K,
-		RevalidateRatio: s.RevalidateRatio,
-	}
-}
-
-// DistributedOptimize shards the three-phase search across
-// System.Workers — each worker searches one congruence-class slice of
-// the assignment space against its own registry and plan cache, with
-// the incumbent bound min-merged between them while they run — and
-// merges the winners deterministically: the returned plan is
-// identical to Optimize's, provided the workers' service statistics
-// agree with this system's. The query must be resolved (Parse does
-// that).
-func (s *System) DistributedOptimize(ctx context.Context, q *Query) (*OptimizeResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	return s.Coordinator().Optimize(ctx, q)
-}
-
-// DistributedOptimizeBound binds a template and optimizes it through
-// the workers' template-level plan caches: repeated bindings serve
-// re-costed skeletons from the remote caches instead of searching
-// (the distributed analogue of OptimizeBound).
-func (s *System) DistributedOptimizeBound(ctx context.Context, tpl *Template, values map[string]Value) (*Query, *OptimizeResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	q, err := tpl.Bind(values)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.ResolveQuery(q); err != nil {
-		return nil, nil, err
-	}
-	res, err := s.Coordinator().OptimizeTemplate(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return q, res, nil
-}
-
-// DistributedExecute runs an optimized plan across System.Workers as
-// plan fragments: the plan is partitioned into linear chains, each
-// chain ships — with the tuples flowing into it — to a worker whose
-// registry hosts its services and runs there with the stock executor,
-// streaming its tail tuples back; this system joins the fragment
-// streams, projects the head and truncates at K. The result is
-// tuple-identical to Execute on the same plan (provided worker
-// registries agree with this one). Workers with a feedback policy
-// fold the fragment's traffic into their local profiles, and their
-// epoch bumps flow back through the reverse gossip path.
-func (s *System) DistributedExecute(ctx context.Context, p *Plan) (*ExecResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	return s.Coordinator().ExecutePlan(ctx, p)
-}
-
-// DistributedAnswer is Answer through the fleet: the search shards
-// across System.Workers (DistributedOptimize) and the winning plan
-// executes as worker-side fragments (DistributedExecute) — the whole
-// pipeline from datalog text to ranked answers without this process
-// invoking a single service itself.
-func (s *System) DistributedAnswer(ctx context.Context, query string) (*ExecResult, *OptimizeResult, error) {
-	q, err := s.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	ores, err := s.DistributedOptimize(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.DistributedExecute(ctx, ores.Best)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ores, nil
-}
-
-// StartGossip forwards this registry's statistics-epoch bumps to
-// every attached worker's plan cache until the returned stop function
-// is called — cross-process cache invalidation riding the same epoch
-// wire format local caches subscribe to.
-func (s *System) StartGossip() (stop func()) {
-	return s.Coordinator().GossipLoop(nil)
-}
-
-// WarmWorkers ships this system's plan-cache template entries to
-// every attached worker, so remote caches start warm; it returns how
-// many entries the workers accepted.
-func (s *System) WarmWorkers(ctx context.Context) (int, error) {
-	if s.PlanCache == nil {
-		return 0, nil
-	}
-	return s.Coordinator().WarmWorkers(ctx, s.PlanCache)
 }
 
 // ChainTopology builds a serial topology over atom indexes.
