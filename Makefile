@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race bench perf perf-smoke docscheck dist-smoke share-smoke e2e-smoke chaos-smoke staticcheck ci
+.PHONY: build vet fmt test race bench fuzz-smoke perf perf-smoke docscheck dist-smoke share-smoke e2e-smoke chaos-smoke staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,14 @@ race:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Fuzz smoke: ten seconds of the frame-codec differential
+# (internal/dist FuzzBatchFrame) — the hand-written batch-frame writer
+# and reader against encoding/json, byte for byte and value for value,
+# on generated frames and arbitrary wire bytes. A finding lands in
+# internal/dist/testdata/fuzz and fails every later `go test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=10s ./internal/dist
 
 # Documentation gate: markdown links in the top-level docs and the
 # docs/ reference pages must resolve, and every exported identifier
@@ -101,4 +109,4 @@ perf:
 perf-smoke:
 	$(GO) run ./bench/cmd/mdqperf -seconds 3
 
-ci: build vet fmt staticcheck docscheck race dist-smoke share-smoke e2e-smoke chaos-smoke bench perf-smoke
+ci: build vet fmt staticcheck docscheck race fuzz-smoke dist-smoke share-smoke e2e-smoke chaos-smoke bench perf-smoke

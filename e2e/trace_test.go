@@ -20,8 +20,11 @@ import (
 // must come back with a single span tree in which the workers' spans —
 // shipped across the wire piggybacked on result frames — nest under
 // the coordinator's dispatch spans, and every plan-node span carries
-// the optimizer estimate next to the observed counters. On failure the
-// raw trace dump lands in MDQ_LOAD_ARTIFACTS for CI upload.
+// the optimizer estimate next to the observed counters. The first
+// query misses the fleet's template plane (probe + one search dispatch
+// per shard); the second binding of the same template is one probe
+// dispatch, tagged probe=hit. On failure the raw trace dump lands in
+// MDQ_LOAD_ARTIFACTS for CI upload.
 func TestTracedFleetQuery(t *testing.T) {
 	dir := t.TempDir()
 	serveBin, workerBin, _ := buildBinaries(t, dir)
@@ -38,95 +41,110 @@ func TestTracedFleetQuery(t *testing.T) {
 		"-workers", "http://"+w1+",http://"+w2)
 	waitReady(t, "http://"+serveAddr+"/stats")
 
-	reqBody, _ := json.Marshal(map[string]any{
-		"template": e2eTemplate,
-		"bindings": map[string]any{"cat": "luxury"},
-		"k":        answersK,
-		"trace":    true,
-	})
-	resp, err := http.Post("http://"+serveAddr+"/query", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep the raw response around: the CI job uploads the artifacts
-	// dir only when the test fails, so this is the failure dump.
-	dump := filepath.Join(artifactsDir(t), "traced_query_response.json")
-	if err := os.WriteFile(dump, raw, 0o644); err != nil {
-		t.Logf("saving trace dump: %v", err)
-	}
+	var lastID string
+	for _, want := range []struct {
+		probe      string
+		dispatches int
+	}{{"miss", 3}, {"hit", 1}} {
+		reqBody, _ := json.Marshal(map[string]any{
+			"template": e2eTemplate,
+			"bindings": map[string]any{"cat": "luxury"},
+			"k":        answersK,
+			"trace":    true,
+		})
+		resp, err := http.Post("http://"+serveAddr+"/query", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Keep the raw response around: the CI job uploads the artifacts
+		// dir only when the test fails, so this is the failure dump.
+		dump := filepath.Join(artifactsDir(t), "traced_query_response_"+want.probe+".json")
+		if err := os.WriteFile(dump, raw, 0o644); err != nil {
+			t.Logf("saving trace dump: %v", err)
+		}
 
-	var qr struct {
-		Error   string            `json:"error"`
-		Rows    [][]string        `json:"rows"`
-		TraceID string            `json:"trace_id"`
-		Trace   []*trace.TreeNode `json:"trace"`
-	}
-	if err := json.Unmarshal(raw, &qr); err != nil {
-		t.Fatalf("decoding /query response: %v (dump at %s)", err, dump)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query: %s (%s)", resp.Status, qr.Error)
-	}
-	if len(qr.Rows) == 0 {
-		t.Fatal("traced query returned no rows")
-	}
-	if qr.TraceID == "" {
-		t.Fatalf("response has no trace_id (dump at %s)", dump)
-	}
-	if len(qr.Trace) != 1 {
-		t.Fatalf("trace has %d roots, want 1 (dump at %s)", len(qr.Trace), dump)
-	}
+		var qr struct {
+			Error   string            `json:"error"`
+			Rows    [][]string        `json:"rows"`
+			TraceID string            `json:"trace_id"`
+			Trace   []*trace.TreeNode `json:"trace"`
+		}
+		if err := json.Unmarshal(raw, &qr); err != nil {
+			t.Fatalf("decoding /query response: %v (dump at %s)", err, dump)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /query: %s (%s)", resp.Status, qr.Error)
+		}
+		if len(qr.Rows) == 0 {
+			t.Fatal("traced query returned no rows")
+		}
+		if qr.TraceID == "" {
+			t.Fatalf("response has no trace_id (dump at %s)", dump)
+		}
+		if len(qr.Trace) != 1 {
+			t.Fatalf("trace has %d roots, want 1 (dump at %s)", len(qr.Trace), dump)
+		}
+		lastID = qr.TraceID
 
-	// The workers' spans crossed two process boundaries and still nest
-	// under the coordinator spans that dispatched them.
-	var searchSpliced, fragSpliced, nodeSpans int
-	trace.Walk(qr.Trace, func(n *trace.TreeNode) {
-		switch n.Name {
-		case "dist.search.dispatch":
-			for _, c := range n.Children {
-				if c.Name == "worker.search" {
-					searchSpliced++
+		// The workers' spans crossed two process boundaries and still nest
+		// under the coordinator spans that dispatched them.
+		var probes []string
+		var searchDispatches, searchSpliced, fragSpliced, nodeSpans int
+		trace.Walk(qr.Trace, func(n *trace.TreeNode) {
+			switch n.Name {
+			case "dist.search.dispatch":
+				searchDispatches++
+				if p, ok := n.Attrs["probe"]; ok {
+					probes = append(probes, p)
+				}
+				for _, c := range n.Children {
+					if c.Name == "worker.search" {
+						searchSpliced++
+					}
+				}
+			case "dist.execute.dispatch":
+				for _, c := range n.Children {
+					if c.Name == "worker.fragment" {
+						fragSpliced++
+					}
 				}
 			}
-		case "dist.execute.dispatch":
-			for _, c := range n.Children {
-				if c.Name == "worker.fragment" {
-					fragSpliced++
+			if len(n.Name) > 5 && n.Name[:5] == "node:" {
+				nodeSpans++
+				if n.Est == nil {
+					t.Errorf("plan-node span %s has no estimate (dump at %s)", n.Name, dump)
+				}
+				if n.Obs == nil {
+					t.Errorf("plan-node span %s has no observations (dump at %s)", n.Name, dump)
 				}
 			}
+		})
+		if len(probes) != 1 || probes[0] != want.probe {
+			t.Errorf("probe dispatches tagged %v, want one probe=%s (dump at %s)", probes, want.probe, dump)
 		}
-		if len(n.Name) > 5 && n.Name[:5] == "node:" {
-			nodeSpans++
-			if n.Est == nil {
-				t.Errorf("plan-node span %s has no estimate (dump at %s)", n.Name, dump)
-			}
-			if n.Obs == nil {
-				t.Errorf("plan-node span %s has no observations (dump at %s)", n.Name, dump)
-			}
+		if searchDispatches != want.dispatches || searchSpliced != want.dispatches {
+			t.Errorf("probe=%s: %d search dispatches with %d worker.search spliced, want %d of each (dump at %s)",
+				want.probe, searchDispatches, searchSpliced, want.dispatches, dump)
 		}
-	})
-	if searchSpliced != 2 {
-		t.Errorf("%d worker.search spans spliced under search dispatches, want 2 (dump at %s)",
-			searchSpliced, dump)
-	}
-	if fragSpliced == 0 {
-		t.Errorf("no worker.fragment span spliced under an execute dispatch (dump at %s)", dump)
-	}
-	if nodeSpans == 0 {
-		t.Errorf("no plan-node spans in the trace (dump at %s)", dump)
+		if fragSpliced == 0 {
+			t.Errorf("no worker.fragment span spliced under an execute dispatch (dump at %s)", dump)
+		}
+		if nodeSpans == 0 {
+			t.Errorf("no plan-node spans in the trace (dump at %s)", dump)
+		}
 	}
 
 	// The coordinator retained the trace: the ring-buffer endpoint
 	// serves the same tree by ID.
 	var stored trace.Dump
-	getJSON(t, "http://"+serveAddr+"/trace/"+qr.TraceID, &stored)
-	if stored.TraceID != qr.TraceID || len(stored.Spans) == 0 {
-		t.Errorf("GET /trace/%s = %+v, want the stored dump", qr.TraceID, stored)
+	getJSON(t, "http://"+serveAddr+"/trace/"+lastID, &stored)
+	if stored.TraceID != lastID || len(stored.Spans) == 0 {
+		t.Errorf("GET /trace/%s = %+v, want the stored dump", lastID, stored)
 	}
 }
 

@@ -34,7 +34,9 @@ const DefaultSyncInterval = 25 * time.Millisecond
 // workers (one congruence-class shard each), runs the bound-sync loop
 // while they search, and merges the per-shard winners into the final
 // plan with the optimizer's deterministic (feasible, cost,
-// plan-signature) order. It also forwards the local registry's
+// plan-signature) order. Template serving is unsharded: one worker's
+// cache answers a hit, and a miss's merged winner is shipped to every
+// worker (OptimizeTemplate). It also forwards the local registry's
 // statistics-epoch bumps to every worker (Gossip / GossipLoop) and
 // warms worker caches with serialized template entries (WarmWorkers).
 type Coordinator struct {
@@ -96,6 +98,14 @@ type Coordinator struct {
 	// Smaller batches mean more frame boundaries — chiefly a dial for
 	// the frame-boundary failover sweeps in tests.
 	BatchSize int
+	// Cache, when non-nil, also receives every template entry
+	// OptimizeTemplate ships to the workers, so the coordinator process
+	// can report, persist and re-ship (WarmWorkers) what its fleet
+	// learned. It is never served from.
+	Cache *opt.PlanCache
+	// OnProbe, when non-nil, is called with each template probe's
+	// outcome, "hit" or "miss" — the serving layer's counter hook.
+	OnProbe func(outcome string)
 }
 
 // alive reports whether worker i may be dispatched to (no membership
@@ -171,40 +181,13 @@ func (c *Coordinator) syncInterval() time.Duration {
 // in-process search would return, provided the workers'
 // registries agree with the coordinator's on services and statistics.
 func (c *Coordinator) Optimize(ctx context.Context, q *cq.Query) (*opt.Result, error) {
-	return c.optimize(ctx, q, false)
-}
-
-// OptimizeTemplate distributes a search through the workers'
-// template-level plan caches: each worker serves its shard from a
-// re-costed cached skeleton when one is within the revalidation
-// ratio, searching only on misses or divergence — many bindings, one
-// distributed search.
-func (c *Coordinator) OptimizeTemplate(ctx context.Context, q *cq.Query) (*opt.Result, error) {
-	return c.optimize(ctx, q, true)
-}
-
-// optimize is the shared fan-out / sync / merge path.
-func (c *Coordinator) optimize(ctx context.Context, q *cq.Query, template bool) (*opt.Result, error) {
-	if len(c.Workers) == 0 {
-		return nil, errors.New("dist: coordinator has no workers")
-	}
-	for _, a := range q.Atoms {
-		if a.Sig == nil {
-			return nil, fmt.Errorf("dist: query %s is not resolved", q.Name)
-		}
+	base, err := c.request(q)
+	if err != nil {
+		return nil, err
 	}
 	n := len(c.Workers)
-	id := c.nextID()
-	base := SearchRequest{
-		ID:              id,
-		Query:           q.String(),
-		Metric:          c.metric().Name(),
-		CacheMode:       c.Mode.String(),
-		K:               c.K,
-		ShardCount:      n,
-		Template:        template,
-		RevalidateRatio: c.RevalidateRatio,
-	}
+	base.ID = c.nextID()
+	base.ShardCount = n
 
 	searchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -217,12 +200,12 @@ func (c *Coordinator) optimize(ctx context.Context, q *cq.Query, template bool) 
 			defer wg.Done()
 			req := base
 			req.ShardIndex = i
-			results[i], errs[i] = c.searchShard(searchCtx, req)
+			results[i], errs[i] = c.searchShard(searchCtx, req, i)
 		}(i)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	c.syncLoop(searchCtx, id, done)
+	c.syncLoop(searchCtx, base.ID, done)
 
 	select {
 	case <-ctx.Done():
@@ -245,21 +228,88 @@ func (c *Coordinator) optimize(ctx context.Context, q *cq.Query, template bool) 
 	return res, err
 }
 
-// searchShard runs one shard search with failover. The shard's home
-// worker is its index; each transient failure rotates it to the next
-// live worker — the shard travels whole inside the request, and
-// template cache keys are shard-blind, so the re-run is warm wherever
-// it lands and returns the identical shard result. Permanent errors
-// surface immediately; a fleet with every worker down fails with
-// ErrNoLiveWorkers.
-func (c *Coordinator) searchShard(ctx context.Context, req SearchRequest) (*SearchResult, error) {
+// request checks that the query can be dispatched and returns the
+// part of a SearchRequest all dispatches of one optimization share.
+func (c *Coordinator) request(q *cq.Query) (SearchRequest, error) {
+	if len(c.Workers) == 0 {
+		return SearchRequest{}, errors.New("dist: coordinator has no workers")
+	}
+	for _, a := range q.Atoms {
+		if a.Sig == nil {
+			return SearchRequest{}, fmt.Errorf("dist: query %s is not resolved", q.Name)
+		}
+	}
+	return SearchRequest{
+		Query:           q.String(),
+		Metric:          c.metric().Name(),
+		CacheMode:       c.Mode.String(),
+		K:               c.K,
+		RevalidateRatio: c.RevalidateRatio,
+	}, nil
+}
+
+// OptimizeTemplate optimizes through the fleet's template plane: many
+// bindings, one distributed search. A hit is one probe: a single
+// worker — rotated across the live ones, failed over like a shard —
+// re-costs its cached skeleton for the new bindings, and reports a miss
+// rather than search. Only a miss (no entry, or a re-cost beyond
+// RevalidateRatio) pays Optimize's sharded search, whose merged winner
+// is then shipped to every live worker: workers never memoize their own
+// shard's skeleton, so the next probe re-costs the plan that won.
+func (c *Coordinator) OptimizeTemplate(ctx context.Context, q *cq.Query) (*opt.Result, error) {
+	probe, err := c.request(q)
+	if err != nil {
+		return nil, err
+	}
+	probe.Template = true
+	home := int(searchSeq.Add(1) % uint64(len(c.Workers)))
+	hit, err := c.searchShard(ctx, probe, home)
+	if err != nil {
+		return nil, err
+	}
+	if c.OnProbe != nil {
+		c.OnProbe(probeOutcome(hit.Found))
+	}
+	if hit.Found {
+		return c.merge(q, []*SearchResult{hit})
+	}
+	res, err := c.Optimize(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	// The knobs Worker.Search gives its optimizer: the entry's key must
+	// be the one the next probe looks up.
+	o := &opt.Optimizer{
+		Metric:          c.metric(),
+		Estimator:       card.Config{Mode: c.Mode},
+		K:               c.K,
+		CacheSalt:       c.Registry.CacheSalt(),
+		Epochs:          c.Registry,
+		RevalidateRatio: c.RevalidateRatio,
+	}
+	learned := []opt.TemplateWireEntry{o.TemplateEntry(q, res)}
+	c.Cache.ImportTemplates(learned, c.Registry)
+	// Best-effort, like any warm-up: a worker that missed the entry
+	// answers its next probe with a miss, and that search re-ships.
+	c.shipTemplates(ctx, learned)
+	return res, nil
+}
+
+// searchShard runs one dispatch — a shard search or a template probe —
+// with failover. It starts at the home worker (a shard's index); each
+// transient failure rotates it to the next live worker — the shard
+// travels whole inside the request, and every worker's template cache
+// holds the same shipped winners, so the re-run returns the identical
+// result wherever it lands. Permanent errors surface immediately; a
+// fleet with every worker down fails with ErrNoLiveWorkers.
+func (c *Coordinator) searchShard(ctx context.Context, req SearchRequest, home int) (*SearchResult, error) {
 	n := len(c.Workers)
 	qsp := trace.From(ctx)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		target := -1
 		for off := 0; off < n; off++ {
-			if w := (req.ShardIndex + attempt + off) % n; c.alive(w) {
+			if w := (home + attempt + off) % n; c.alive(w) {
 				target = w
 				break
 			}
@@ -274,12 +324,17 @@ func (c *Coordinator) searchShard(ctx context.Context, req SearchRequest) (*Sear
 		// worker's spliced search spans.
 		dsp := qsp.Child("dist.search.dispatch")
 		dsp.Set("worker", c.Workers[target].Name())
-		dsp.Set("shard", strconv.Itoa(req.ShardIndex))
+		if !req.Template {
+			dsp.Set("shard", strconv.Itoa(req.ShardIndex))
+		}
 		dsp.Set("attempt", strconv.Itoa(attempt))
 		req.TraceID, req.TraceSpan = dsp.TraceID(), dsp.SpanID()
 		res, err := c.Workers[target].Search(ctx, req)
 		c.reportOutcome(target, err)
 		if err == nil {
+			if req.Template {
+				dsp.Set("probe", probeOutcome(res.Found))
+			}
 			dsp.Splice(res.Spans)
 			dsp.End()
 			return res, nil
@@ -295,6 +350,14 @@ func (c *Coordinator) searchShard(ctx context.Context, req SearchRequest) (*Sear
 			return nil, fmt.Errorf("dist: worker %s: %w", c.Workers[target].Name(), lastErr)
 		}
 	}
+}
+
+// probeOutcome names a template probe's result on spans and metrics.
+func probeOutcome(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
 }
 
 // syncLoop exchanges bounds with every live worker until the searches
@@ -490,7 +553,11 @@ func (c *Coordinator) GossipLoop(onError func(error)) (stop func()) {
 // not correctness — and the first failure is still reported so the
 // caller can log it.
 func (c *Coordinator) WarmWorkers(ctx context.Context, cache *opt.PlanCache) (int, error) {
-	entries := cache.ExportTemplates()
+	return c.shipTemplates(ctx, cache.ExportTemplates())
+}
+
+// shipTemplates is WarmWorkers for entries already in wire form.
+func (c *Coordinator) shipTemplates(ctx context.Context, entries []opt.TemplateWireEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}

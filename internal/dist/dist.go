@@ -82,9 +82,11 @@ type SearchRequest struct {
 	// to the coordinator (0 means none; bounds are costs of feasible
 	// plans and therefore positive).
 	Bound float64 `json:"bound,omitempty"`
-	// Template routes the search through the worker's template-level
-	// plan cache (opt.Optimizer.OptimizeTemplate): repeated bindings
-	// of one template serve re-costed skeletons instead of searching.
+	// Template makes the request a template probe
+	// (opt.Optimizer.ServeTemplate): the worker re-costs its cached
+	// skeleton of the query's template for these bindings, or answers
+	// Found=false — it never searches. Probes are unsharded and carry
+	// no ID (there is no bound to sync).
 	Template bool `json:"template,omitempty"`
 	// RevalidateRatio is the template-cache divergence bound (0 means
 	// the optimizer default).
@@ -107,7 +109,7 @@ type SearchResult struct {
 	// Found is false when the shard contained no executable plan
 	// (opt.ErrNoPlanInShard) — an expected outcome when shards
 	// outnumber permissible assignments, merged as an empty
-	// contribution.
+	// contribution — and when a template probe missed.
 	Found bool `json:"found"`
 	// Cost and Feasible describe the shard's winning plan under the
 	// worker's local statistics.

@@ -59,7 +59,7 @@ var worlds = []world{
 }
 
 // resolve parses and resolves text against a schema.
-func resolve(t *testing.T, text string, sch *schema.Schema) *cq.Query {
+func resolve(t testing.TB, text string, sch *schema.Schema) *cq.Query {
 	t.Helper()
 	q, err := cq.Parse(text)
 	if err != nil {
@@ -74,7 +74,7 @@ func resolve(t *testing.T, text string, sch *schema.Schema) *cq.Query {
 // localCluster builds a coordinator over n in-process workers, each
 // with its own registry built by the same world constructor (the
 // multi-process topology, minus the sockets) and a fresh plan cache.
-func localCluster(t *testing.T, w world, n int) (*Coordinator, []*Worker) {
+func localCluster(t testing.TB, w world, n int) (*Coordinator, []*Worker) {
 	t.Helper()
 	reg, _ := w.make()
 	co := &Coordinator{
@@ -136,7 +136,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	}
 }
 
-func mustSchema(t *testing.T, reg *service.Registry) *schema.Schema {
+func mustSchema(t testing.TB, reg *service.Registry) *schema.Schema {
 	t.Helper()
 	sch, err := reg.Schema()
 	if err != nil {

@@ -171,7 +171,7 @@ func TestExecuteFailoverMidStreamKill(t *testing.T) {
 	w := worlds[0] // travel: proliferative fragments, many frames
 	clusters := []struct {
 		name string
-		mk   func(t *testing.T, w world, n int) (*Coordinator, []*Worker)
+		mk   func(t testing.TB, w world, n int) (*Coordinator, []*Worker)
 	}{
 		{"local", localCluster},
 		{"http", httpCluster},

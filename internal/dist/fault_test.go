@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,13 +218,17 @@ func TestHTTPTransportClassification(t *testing.T) {
 }
 
 // TestHTTPExecuteStreamFaults drives the execute stream decoder with
-// scripted wire shapes: a sequence gap and a truncated stream are
-// transient (re-dispatchable); a worker-reported error frame is
-// permanent; a budget frame keeps its type.
+// scripted wire shapes, written the way a worker from before the hand
+// frame codec writes them (json.Encoder): a sequence gap, a truncated
+// stream and a line torn mid-frame are transient (re-dispatchable); a
+// worker-reported error frame is permanent; a budget frame keeps its
+// type; and line framing is tolerant — blank lines, a line far longer
+// than the read buffer, a final frame without its newline.
 func TestHTTPExecuteStreamFaults(t *testing.T) {
 	ctx := context.Background()
 	var mode string
 	var mu sync.Mutex
+	long := strings.Repeat("x", 100<<10)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		m := mode
@@ -237,6 +243,13 @@ func TestHTTPExecuteStreamFaults(t *testing.T) {
 		case "truncated":
 			enc.Encode(ExecuteFrame{Batch: []WireTuple{{}}, Seq: 0})
 			// no Done frame: the worker vanished mid-stream
+		case "torn":
+			enc.Encode(ExecuteFrame{Batch: []WireTuple{{}}, Seq: 0})
+			io.WriteString(w, `{"batch":[[{"k":"s","s":"Mil`)
+		case "framing":
+			enc.Encode(ExecuteFrame{Batch: []WireTuple{{{Kind: "s", Str: long}}}, Seq: 0})
+			io.WriteString(w, "\n  \r\n")
+			io.WriteString(w, `{"done":{"tuples":1}}`)
 		case "error":
 			enc.Encode(ExecuteFrame{Batch: []WireTuple{{}}, Seq: 0})
 			enc.Encode(ExecuteFrame{Error: "dist: fragment exploded"})
@@ -247,11 +260,16 @@ func TestHTTPExecuteStreamFaults(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &HTTPTransport{Base: srv.URL}
+	var got []WireTuple
 	run := func(m string) error {
 		mu.Lock()
 		mode = m
 		mu.Unlock()
-		_, err := tr.ExecuteFragment(ctx, ExecuteRequest{}, func([]WireTuple) error { return nil })
+		got = nil
+		_, err := tr.ExecuteFragment(ctx, ExecuteRequest{}, func(b []WireTuple) error {
+			got = append(got, b...)
+			return nil
+		})
 		return err
 	}
 
@@ -260,6 +278,12 @@ func TestHTTPExecuteStreamFaults(t *testing.T) {
 	}
 	if err := run("truncated"); !IsTransient(err) {
 		t.Fatalf("truncated stream: %v, want transient", err)
+	}
+	if err := run("torn"); !IsTransient(err) || len(got) != 1 {
+		t.Fatalf("torn line: %v after %d tuples, want transient after 1", err, len(got))
+	}
+	if err := run("framing"); err != nil || len(got) != 1 || got[0][0].Str != long {
+		t.Fatalf("framing: %v, %d tuples", err, len(got))
 	}
 	if err := run("error"); err == nil || IsTransient(err) {
 		t.Fatalf("worker error frame: %v, want permanent", err)

@@ -14,7 +14,7 @@ import (
 
 // httpCluster runs n workers behind real HTTP servers (loopback) and
 // returns a coordinator speaking HTTPTransport to them.
-func httpCluster(t *testing.T, w world, n int) (*Coordinator, []*Worker) {
+func httpCluster(t testing.TB, w world, n int) (*Coordinator, []*Worker) {
 	t.Helper()
 	reg, _ := w.make()
 	co := &Coordinator{

@@ -22,7 +22,7 @@ func TestExecutePlanEarlyK(t *testing.T) {
 	w := worlds[0] // travel: proliferative enough that K stops mid-stream
 	clusters := []struct {
 		name string
-		mk   func(t *testing.T, w world, n int) (*Coordinator, []*Worker)
+		mk   func(t testing.TB, w world, n int) (*Coordinator, []*Worker)
 	}{
 		{"local", localCluster},
 		{"http", httpCluster},
@@ -107,7 +107,7 @@ func TestExecutePlanMidStreamBudgetTrip(t *testing.T) {
 
 	clusters := []struct {
 		name string
-		mk   func(t *testing.T, w world, n int) (*Coordinator, []*Worker)
+		mk   func(t testing.TB, w world, n int) (*Coordinator, []*Worker)
 	}{
 		{"local", localCluster},
 		{"http", httpCluster},

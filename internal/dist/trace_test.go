@@ -27,7 +27,7 @@ func tracedCtx(ctx context.Context) (context.Context, *trace.Trace, *trace.Span)
 // LocalTransport and over real loopback HTTP. Tracing observes the
 // pipeline; it must never add, remove or reorder work.
 func TestTracedExecutionDifferential(t *testing.T) {
-	type clusterFn func(t *testing.T, w world, n int) (*Coordinator, []*Worker)
+	type clusterFn func(t testing.TB, w world, n int) (*Coordinator, []*Worker)
 	transports := []struct {
 		name string
 		make clusterFn
@@ -85,70 +85,82 @@ func TestTracedExecutionDifferential(t *testing.T) {
 	}
 }
 
-// TestTracedDistributedSpanTree pins the tentpole's tree shape on a
-// LocalTransport fleet: one tree rooted at the query span, worker
-// search spans spliced under their dist.search.dispatch spans, worker
-// fragment spans spliced under their dist.execute.dispatch spans, and
-// every plan-node span carrying both the optimizer estimate and the
-// observed counters.
+// TestTracedDistributedSpanTree: a traced distributed run yields one
+// rooted tree with the fleet's template plane legible in it — a miss is
+// the probe's dist.search.dispatch (probe=miss) plus one dispatch per
+// shard, a hit is the probe's dispatch alone (probe=hit), each with its
+// worker.search spliced beneath — worker fragment spans spliced under
+// their dist.execute.dispatch spans, and every plan-node span carrying
+// both the optimizer estimate and the observed counters.
 func TestTracedDistributedSpanTree(t *testing.T) {
 	w := worlds[0]
 	co, _ := localCluster(t, w, 2)
-	ctx, tr, root := tracedCtx(context.Background())
-	res, err := co.OptimizeTemplate(ctx, resolve(t, w.text, mustSchema(t, co.Registry)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.ExecutePlan(ctx, res.Best); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
+	q := resolve(t, w.text, mustSchema(t, co.Registry))
+	for _, want := range []struct {
+		probe      string
+		dispatches int
+	}{{"miss", 3}, {"hit", 1}} {
+		ctx, tr, root := tracedCtx(context.Background())
+		res, err := co.OptimizeTemplate(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.ExecutePlan(ctx, res.Best); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
 
-	roots := trace.Tree(tr.Spans())
-	if len(roots) != 1 || roots[0].Name != "query" {
-		t.Fatalf("trace has %d roots (first %q), want the single query root",
-			len(roots), roots[0].Name)
-	}
-	var searchDispatches, searchSpliced, execDispatches, fragSpliced, nodeSpans int
-	trace.Walk(roots, func(n *trace.TreeNode) {
-		switch n.Name {
-		case "dist.search.dispatch":
-			searchDispatches++
-			for _, c := range n.Children {
-				if c.Name == "worker.search" {
-					searchSpliced++
+		roots := trace.Tree(tr.Spans())
+		if len(roots) != 1 || roots[0].Name != "query" {
+			t.Fatalf("trace has %d roots (first %q), want the single query root",
+				len(roots), roots[0].Name)
+		}
+		var probes []string
+		var searchDispatches, searchSpliced, execDispatches, fragSpliced, nodeSpans int
+		trace.Walk(roots, func(n *trace.TreeNode) {
+			switch n.Name {
+			case "dist.search.dispatch":
+				searchDispatches++
+				if p, ok := n.Attrs["probe"]; ok {
+					probes = append(probes, p)
+				}
+				for _, c := range n.Children {
+					if c.Name == "worker.search" {
+						searchSpliced++
+					}
+				}
+			case "dist.execute.dispatch":
+				execDispatches++
+				for _, c := range n.Children {
+					if c.Name == "worker.fragment" {
+						fragSpliced++
+					}
 				}
 			}
-		case "dist.execute.dispatch":
-			execDispatches++
-			for _, c := range n.Children {
-				if c.Name == "worker.fragment" {
-					fragSpliced++
+			if len(n.Name) > 5 && n.Name[:5] == "node:" {
+				nodeSpans++
+				if n.Est == nil {
+					t.Errorf("plan-node span %s has no estimate", n.Name)
+				}
+				if n.Obs == nil {
+					t.Errorf("plan-node span %s has no observations", n.Name)
 				}
 			}
+		})
+		if len(probes) != 1 || probes[0] != want.probe {
+			t.Fatalf("probe dispatches tagged %v, want one probe=%s", probes, want.probe)
 		}
-		if len(n.Name) > 5 && n.Name[:5] == "node:" {
-			nodeSpans++
-			if n.Est == nil {
-				t.Errorf("plan-node span %s has no estimate", n.Name)
-			}
-			if n.Obs == nil {
-				t.Errorf("plan-node span %s has no observations", n.Name)
-			}
+		if searchDispatches != want.dispatches || searchSpliced != want.dispatches {
+			t.Fatalf("probe=%s: %d search dispatch spans with %d worker.search spliced, want %d of each",
+				want.probe, searchDispatches, searchSpliced, want.dispatches)
 		}
-	})
-	if searchDispatches != 2 {
-		t.Fatalf("%d search dispatch spans, want 2 (one per shard)", searchDispatches)
-	}
-	if searchSpliced != 2 {
-		t.Fatalf("%d worker.search spans spliced under dispatches, want 2", searchSpliced)
-	}
-	if execDispatches == 0 || fragSpliced == 0 {
-		t.Fatalf("execute dispatches %d / spliced fragments %d, want both > 0",
-			execDispatches, fragSpliced)
-	}
-	if nodeSpans == 0 {
-		t.Fatal("no plan-node spans recorded")
+		if execDispatches == 0 || fragSpliced == 0 {
+			t.Fatalf("execute dispatches %d / spliced fragments %d, want both > 0",
+				execDispatches, fragSpliced)
+		}
+		if nodeSpans == 0 {
+			t.Fatal("no plan-node spans recorded")
+		}
 	}
 }
 

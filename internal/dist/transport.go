@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -301,18 +302,19 @@ func (t *HTTPTransport) ExecuteFragment(ctx context.Context, req ExecuteRequest,
 		return nil, classifyStatus(ctx, resp.StatusCode,
 			fmt.Errorf("dist: %s/dist/execute returned %s", t.Base, resp.Status))
 	}
-	dec := json.NewDecoder(resp.Body)
+	// One frame per line (see framecodec.go); a done frame carrying a
+	// traced fragment's spans is the longest line there is.
+	lines := bufio.NewScanner(resp.Body)
+	lines.Buffer(nil, 1<<30)
 	seq := 0
-	for {
-		var fr ExecuteFrame
-		if err := dec.Decode(&fr); err != nil {
-			// A stream that dies before its final frame is a vanished
-			// worker (SIGKILL closes the socket mid-body): transient, so
-			// the coordinator can re-dispatch the fragment elsewhere.
-			if err == io.EOF {
-				return nil, transientUnless(ctx,
-					fmt.Errorf("dist: %s/dist/execute stream ended without a final frame", t.Base))
-			}
+	for lines.Scan() {
+		line := lines.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		fr, err := decodeFrame(line)
+		if err != nil {
+			// A torn line is a connection that died mid-frame.
 			return nil, transientUnless(ctx, fmt.Errorf("dist: %s/dist/execute stream: %w", t.Base, err))
 		}
 		if fr.Error != "" {
@@ -341,4 +343,12 @@ func (t *HTTPTransport) ExecuteFragment(ctx context.Context, req ExecuteRequest,
 			return fr.Done, nil
 		}
 	}
+	// A stream that dies before its final frame is a vanished worker
+	// (SIGKILL closes the socket mid-body): transient, so the coordinator
+	// can re-dispatch the fragment elsewhere.
+	if err := lines.Err(); err != nil {
+		return nil, transientUnless(ctx, fmt.Errorf("dist: %s/dist/execute stream: %w", t.Base, err))
+	}
+	return nil, transientUnless(ctx,
+		fmt.Errorf("dist: %s/dist/execute stream ended without a final frame", t.Base))
 }

@@ -116,7 +116,10 @@ func (w *Worker) Cache() *opt.PlanCache { return w.cache }
 // Search runs one shard search: parse and resolve the query against
 // the local registry, seed the incumbent with the coordinator's
 // bound, and run the ordinary optimizer over the shard. An empty
-// shard is not an error — it returns Found=false.
+// shard is not an error — it returns Found=false. A template probe
+// (req.Template) only consults the plan cache, and a miss returns
+// Found=false too: shard searches are never memoized as templates —
+// the coordinator ships the merged winner's entry (ImportTemplates).
 func (w *Worker) Search(ctx context.Context, req SearchRequest) (*SearchResult, error) {
 	metric, mode, k, err := searchKnobs(req)
 	if err != nil {
@@ -191,12 +194,12 @@ func (w *Worker) Search(ctx context.Context, req SearchRequest) (*SearchResult, 
 	}
 	var res *opt.Result
 	if req.Template {
-		res, err = o.OptimizeTemplate(q)
+		res, err = o.ServeTemplate(q)
 	} else {
 		res, err = o.Optimize(q)
 	}
 	rootSp.End()
-	if errors.Is(err, opt.ErrNoPlanInShard) {
+	if errors.Is(err, opt.ErrNoPlanInShard) || (res == nil && err == nil) {
 		return &SearchResult{Found: false, Bound: toWireBound(bound.Load()), Spans: wtr.Spans()}, nil
 	}
 	if err != nil {
@@ -400,11 +403,15 @@ func (w *Worker) Handler() http.Handler {
 		flusher, _ := rw.(http.Flusher)
 		streamed := false
 		seq := 0
+		var line []byte // reused across the stream's batch frames
 		res, err := w.ExecuteFragment(r.Context(), req, func(batch []WireTuple) error {
 			streamed = true
-			fr := ExecuteFrame{Batch: batch, Seq: seq}
+			var err error
+			if line, err = appendFrame(line[:0], &ExecuteFrame{Batch: batch, Seq: seq}); err != nil {
+				return err
+			}
 			seq++
-			if err := enc.Encode(fr); err != nil {
+			if _, err := rw.Write(line); err != nil {
 				return err
 			}
 			if flusher != nil {

@@ -1,12 +1,16 @@
 package fetch_test
 
 import (
+	"encoding/json"
 	"testing"
 
+	"mdq/internal/abind"
 	"mdq/internal/card"
 	"mdq/internal/cost"
+	"mdq/internal/cq"
 	. "mdq/internal/fetch"
 	"mdq/internal/plan"
+	"mdq/internal/schema"
 	"mdq/internal/simweb"
 )
 
@@ -185,6 +189,57 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 		}
 		if res.Cost != best {
 			t.Errorf("k=%d: assigner cost %g, brute force %g", k, res.Cost, best)
+		}
+	}
+}
+
+// loserTemplate is bench/workload's TravelTemplate bound to 'luxury':
+// the fleet_hot and hot_single query.
+const loserTemplate = `
+q(Conf, City, Hotel, HPrice, FPrice) :-
+    flight('Milano', City, Start, End, StartTime, EndTime, FPrice),
+    hotel(Hotel, City, 'luxury', Start, End, HPrice),
+    conf('DB', Conf, Start, End, City),
+    FPrice + HPrice < 2000 {0.01}.`
+
+// BenchmarkAssignLoserSkeleton prices the skeleton shard 1 of 2 finds
+// for that query at k=5: hotel unbound (oooooo) beside flight, conf
+// last, cost 1891 against the winner's 195. Phase 3 takes ≈ 41 ms on it
+// where the winner takes ≈ 50 µs — until the fleet stopped memoizing
+// shard-local skeletons, every fleet template hit paid this. It stays
+// what a search pays on each such leaf: the concrete target for
+// phase-3 work.
+func BenchmarkAssignLoserSkeleton(b *testing.B) {
+	w := simweb.NewTravelWorld(simweb.TravelOptions{})
+	q, err := cq.Parse(loserTemplate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := q.Resolve(w.Schema); err != nil {
+		b.Fatal(err)
+	}
+	var asn abind.Assignment
+	for _, s := range []string{"iiiiooo", "oooooo", "ioooo"} {
+		pat, err := schema.ParsePattern(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		asn = append(asn, pat)
+	}
+	var topo plan.Topology
+	if err := json.Unmarshal([]byte(`{"n":3,"bits":"000100100"}`), &topo); err != nil {
+		b.Fatal(err)
+	}
+	skeleton, err := plan.Build(q, asn, &topo, plan.Options{ChooseMethod: w.Registry.MethodChooser()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fa := &Assigner{Estimator: card.Config{Mode: card.OneCall}, Metric: cost.ExecTime{}, K: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fr := fa.Assign(skeleton.Clone()); !fr.Feasible || fr.Cost < 1891 || fr.Cost > 1892 {
+			b.Fatalf("loser skeleton priced %g feasible=%v, want ≈ 1891.3", fr.Cost, fr.Feasible)
 		}
 	}
 }

@@ -82,7 +82,7 @@ type Policy struct {
 // template.go for a worked example), with staleness tracked at the
 // entry level:
 //
-//	         putTemplate (full search)
+//	         installTemplate (full search)
 //	absent ─────────────────────────────► fresh
 //	absent ── neighbor class's re-cost ──► fresh  (borrowed serve seeds
 //	          accepted within ratio               the class, no search)
@@ -279,27 +279,6 @@ func (c *PlanCache) put(key string, res *Result, epochs map[string]uint64) {
 		feasible: res.Feasible,
 		epochs:   epochs,
 	})
-}
-
-// putTemplate stores the skeleton of a completed search as the given
-// binding class of a template entry (seeding the entry when the key
-// is new, adding or replacing one class slot when it exists). Only
-// the skeleton and the search's effort counters are kept — template
-// hits rebuild the plan from the bound query, so retaining the
-// original plans (or alternatives) would be dead weight against
-// MaxBytes.
-func (c *PlanCache) putTemplate(key, class string, res *Result, epochs map[string]uint64, dists map[string]string) {
-	if c == nil || res == nil || res.Best == nil {
-		return
-	}
-	slot := &classSlot{
-		asn:      res.Best.Assignment,
-		topo:     res.Best.Topology.Clone(),
-		baseCost: res.Cost,
-		feasible: res.Feasible,
-		stats:    res.Stats,
-	}
-	c.upsertClass(key, class, slot, epochs, dists, false)
 }
 
 // upsertClass merges one binding class's slot into the template
@@ -857,14 +836,11 @@ func (o *Optimizer) cacheKey(q *cq.Query) string {
 
 // templateKey composes the template cache key: the constant-masked,
 // statistics-free template signature plus the same knob fingerprint.
-// Unlike exact keys it is deliberately shard-blind: a template hit
-// only ever serves a *skeleton* that is rebuilt and re-costed under
-// the current bindings and accepted within RevalidateRatio of its
-// baseline, so serving a skeleton found by a different shard (or by
-// an unsharded search — the cache-warmup path ships exactly those)
-// is the same bounded approximation as serving one found under
-// drifted statistics. This is what lets a coordinator's unsharded
-// entries warm worker caches and survive fleet resizes.
+// Unlike exact keys it carries no shard: template entries only ever
+// hold full-space winners — a sharded search never memoizes its
+// shard-local skeleton, the coordinator ships the merged winner's
+// entry instead (TemplateEntry) — so an entry serves whichever process
+// and fleet size it lands in.
 func (o *Optimizer) templateKey(q *cq.Query) string {
 	return "tpl|" + q.TemplateKey() + o.knobKey()
 }

@@ -128,15 +128,24 @@ func (c *PlanCache) ImportTemplates(entries []TemplateWireEntry, src Fingerprint
 	}
 	n := 0
 	for _, w := range entries {
-		slot, err := w.toSlot()
-		if err != nil {
-			continue
+		if c.installTemplate(w, !fingerprintsAgree(w.Dists, src)) {
+			n++
 		}
-		stale := !fingerprintsAgree(w.Dists, src)
-		c.upsertClass(w.Key, w.Class, slot, copyEpochs(w.Epochs), copyDists(w.Dists), stale)
-		n++
 	}
 	return n
+}
+
+// installTemplate stores one wire entry as a binding-class slot of its
+// template entry and reports whether it was well-formed. A searching
+// process installs its own TemplateEntry fresh; imports pass stale
+// unless the local statistics agree with the exporter's.
+func (c *PlanCache) installTemplate(w TemplateWireEntry, stale bool) bool {
+	slot, err := w.toSlot()
+	if err != nil {
+		return false
+	}
+	c.upsertClass(w.Key, w.Class, slot, copyEpochs(w.Epochs), copyDists(w.Dists), stale)
+	return true
 }
 
 // toSlot validates and converts a wire entry into one binding

@@ -101,34 +101,40 @@ func (o *Optimizer) distVector(q *cq.Query) map[string]string {
 
 // OptimizeTemplate optimizes a bound query through the template level
 // of the plan cache: queries that differ only in constant values (the
-// bindings of one cq.Template) share a single cache entry holding the
-// winning plan skeleton of one branch-and-bound search. On a hit only
-// the cheap cost phase re-runs — the skeleton is rebuilt for the new
-// bindings and phase 3 re-estimates the selectivity and fetch vectors
-// under the current statistics. When the re-estimated cost diverges
-// from the skeleton's last full-search cost beyond RevalidateRatio
-// (statistics drifted so far the cached structure is suspect), the
-// entry is discarded and a full search runs instead.
+// bindings of one cq.Template) share one cache entry holding the
+// winning plan skeleton of one branch-and-bound search. It is
+// ServeTemplate and, on a miss, Optimize plus storing the search's
+// TemplateEntry — the three steps a fleet runs apart (a worker serves,
+// the coordinator searches and ships the entry; dist.Coordinator).
 //
 // Without a cache this is exactly Optimize. Alternatives
 // (KeepAlternatives) are only populated by full searches, never by
 // template hits.
-//
-// Under an external Bound (distributed shard searches) the skeleton
-// cached on a miss may come from a bound-truncated walk: a shard
-// whose true best was already beaten by another shard's bound can
-// return — and memoize — a slightly worse plan of its shard. This is
-// accepted by design: the winning shard's search is never truncated
-// below its own best (pruning is strict, so optimal-cost plans
-// survive any valid bound), and a later serve of a non-winning
-// skeleton is still a valid plan re-costed within RevalidateRatio of
-// its baseline — the exact relaxation template serving already makes
-// for statistics drift. Exact results are never cached under a
-// bound (see Optimizer.Bound).
 func (o *Optimizer) OptimizeTemplate(q *cq.Query) (*Result, error) {
 	if o.Cache == nil {
 		return o.Optimize(q)
 	}
+	if res, err := o.ServeTemplate(q); res != nil || err != nil {
+		return res, err
+	}
+	res, err := o.Optimize(q)
+	if err != nil {
+		return nil, err
+	}
+	entry := o.TemplateEntry(q, res)
+	res.BindingClass = entry.Class
+	o.Cache.installTemplate(entry, false)
+	return res, nil
+}
+
+// ServeTemplate serves q from its template's cache entry: only the
+// cheap cost phase runs — the cached skeleton is rebuilt for the new
+// bindings and phase 3 re-estimates selectivities and fetch factors
+// under the current statistics. It returns (nil, nil) on a miss: no
+// entry, or a re-estimated cost beyond RevalidateRatio of the
+// skeleton's baseline (statistics or bindings drifted so far the
+// structure is suspect; the class slot is then already dropped).
+func (o *Optimizer) ServeTemplate(q *cq.Query) (*Result, error) {
 	for _, a := range q.Atoms {
 		if a.Sig == nil {
 			return nil, fmt.Errorf("opt: query %s is not resolved against a schema", q.Name)
@@ -164,13 +170,29 @@ func (o *Optimizer) OptimizeTemplate(q *cq.Query) (*Result, error) {
 		csp.Set("class", "miss")
 		csp.End()
 	}
-	res, err := o.Optimize(q)
-	if err != nil {
-		return nil, err
+	return nil, nil
+}
+
+// TemplateEntry renders a completed search's winner as the cache entry
+// of q's template and binding class under the current epoch and
+// fingerprint vectors — what the searching process stores and a
+// coordinator ships to its workers. Only the skeleton and the effort
+// counters travel: hits rebuild the plan from the bound query.
+func (o *Optimizer) TemplateEntry(q *cq.Query, res *Result) TemplateWireEntry {
+	w := TemplateWireEntry{
+		Key:      o.templateKey(q),
+		Class:    o.bindingClass(q),
+		Topology: res.Best.Topology.Clone(),
+		BaseCost: res.Cost,
+		Feasible: res.Feasible,
+		Stats:    res.Stats,
+		Epochs:   o.epochVector(q),
+		Dists:    o.distVector(q),
 	}
-	res.BindingClass = class
-	o.Cache.putTemplate(tkey, class, res, o.epochVector(q), o.distVector(q))
-	return res, nil
+	for _, p := range res.Best.Assignment {
+		w.Assignment = append(w.Assignment, p.String())
+	}
+	return w
 }
 
 // recost runs the cheap phase of a template hit: rebuild the cached

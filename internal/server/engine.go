@@ -39,8 +39,11 @@ type Engine struct {
 	Registry *service.Registry
 	// Cache, when non-nil, is the plan cache single-process
 	// optimizations go through; the caller subscribes it to the
-	// registry's epoch feed. A fleet serves from the workers' caches
-	// and only warms them from this one.
+	// registry's epoch feed. A fleet serves template hits from the
+	// workers' caches, never from this one, but keeps it current: every
+	// template entry a sharded search ships to the workers is imported
+	// here too, so GET /cache and -cache-file show and persist what the
+	// fleet learned, and start-up warms the workers from it.
 	Cache *opt.PlanCache
 	// Parallelism, Feedback and ResultCache apply to single-process
 	// searches and executions (see opt.Optimizer and exec.Runner); a
@@ -58,11 +61,12 @@ type Engine struct {
 	// fleet: searches shard across these transports and plans execute
 	// as worker-side fragments.
 	Workers []dist.Transport
-	// Membership, Retry and OnRetry are passed to every per-request
-	// coordinator (see dist.Coordinator).
+	// Membership, Retry, OnRetry and OnProbe are passed to every
+	// per-request coordinator (see dist.Coordinator).
 	Membership *dist.Membership
 	Retry      dist.RetryPolicy
 	OnRetry    func(op, worker string)
+	OnProbe    func(outcome string)
 
 	// hosts caches the fleet's service hosting so per-request
 	// coordinators skip one round-trip per worker per execution; nil
@@ -104,6 +108,8 @@ func (e *Engine) coordinator(kn Knobs) *dist.Coordinator {
 		Membership:      e.Membership,
 		Retry:           e.Retry,
 		OnRetry:         e.OnRetry,
+		Cache:           e.Cache,
+		OnProbe:         e.OnProbe,
 	}
 }
 

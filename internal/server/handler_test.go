@@ -34,26 +34,37 @@ var travelCategories = []string{"luxury", "standard", "budget", "hostel"}
 // /query posts the test has sent it.
 type travelServer struct {
 	*httptest.Server
-	sent int
+	sent    int
+	engine  *Engine
+	workers []*dist.Worker
 }
 
-func newTravelServer(t *testing.T, fleet bool) *travelServer {
+// newTravelServer builds the surface; cacheFile, when set, is loaded
+// into the engine's plan cache first, as mdqserve -cache-file does.
+func newTravelServer(t *testing.T, fleet bool, cacheFile string) *travelServer {
 	t.Helper()
 	reg := simweb.NewTravelWorld(simweb.TravelOptions{}).Registry
 	e := &Engine{Registry: reg, Cache: opt.NewPlanCache(16), Parallelism: 1}
 	reg.SubscribeEpochs(e.Cache, e.Cache.InvalidateService)
+	if cacheFile != "" {
+		if _, err := e.Cache.LoadFile(cacheFile, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := &travelServer{engine: e}
 	if fleet {
 		for i := 1; i <= 2; i++ {
 			w := dist.NewWorker(simweb.NewTravelWorld(simweb.TravelOptions{}).Registry, opt.NewPlanCache(16))
 			w.Parallelism = 1
+			out.workers = append(out.workers, w)
 			e.Workers = append(e.Workers, dist.LocalTransport{Worker: w, Label: "w" + strconv.Itoa(i)})
 		}
 	}
 	srv := New(http.NewServeMux(), Config{Engine: e, Coalesce: true, MaxInFlight: 8, QueueWait: time.Second, SlowlogCap: 16})
 	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return &travelServer{Server: ts}
+	out.Server = httptest.NewServer(srv)
+	t.Cleanup(out.Server.Close)
+	return out
 }
 
 // queryBody is the subset of a /query reply the handler tests read.
@@ -124,7 +135,7 @@ func TestHandlerLocalAndFleet(t *testing.T) {
 	answers := map[bool]map[string]queryBody{}
 	for _, fleet := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fleet=%v", fleet), func(t *testing.T) {
-			ts := newTravelServer(t, fleet)
+			ts := newTravelServer(t, fleet, "")
 			answers[fleet] = map[string]queryBody{}
 			var last queryBody
 			for _, cat := range travelCategories {
@@ -190,6 +201,62 @@ func TestHandlerLocalAndFleet(t *testing.T) {
 		local, fleet := answers[false][cat], answers[true][cat]
 		if !reflect.DeepEqual(local.Head, fleet.Head) || !reflect.DeepEqual(local.Rows, fleet.Rows) {
 			t.Fatalf("%s: local answered %v %v, fleet %v %v", cat, local.Head, local.Rows, fleet.Head, fleet.Rows)
+		}
+	}
+}
+
+// TestFleetFillsEngineCache: a coordinator's own plan cache learns what
+// its fleet learned. After one fleet /query GET /cache lists the
+// template entry the sharded search shipped to the workers (it used to
+// stay empty for the life of the process), the probe counter tells the
+// miss from the hit that follows, and a SaveFile → LoadFile round trip
+// — mdqserve -cache-file across a restart — warms a fresh fleet so its
+// first query is a probe hit and no worker ever searches.
+func TestFleetFillsEngineCache(t *testing.T) {
+	ts := newTravelServer(t, true, "")
+	for _, want := range []string{"miss", "hit"} {
+		if status, body := ts.query(t, "luxury", nil); status != http.StatusOK {
+			t.Fatalf("probe %s: status %d (%s)", want, status, body.Error)
+		}
+		if n := ts.metricSum(t, "mdq_fleet_template_probes_total", `outcome="`+want+`"`); n != 1 {
+			t.Fatalf("mdq_fleet_template_probes_total{outcome=%q} = %v, want 1", want, n)
+		}
+	}
+	if n := ts.metricSum(t, "mdq_plan_cache_serves_total", `class="template"`); n != 1 {
+		t.Fatalf("mdq_plan_cache_serves_total{class=template} = %v, want the probe hit", n)
+	}
+
+	resp, err := http.Get(ts.URL + "/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report cacheReport
+	err = json.NewDecoder(resp.Body).Decode(&report)
+	resp.Body.Close()
+	if err != nil || len(report.Entries) != 1 || report.Entries[0].Kind != "template" {
+		t.Fatalf("GET /cache on a coordinator: %+v (err %v), want the one template entry", report.Entries, err)
+	}
+	learned := ts.workers[0].ExportTemplates()
+	if own := ts.engine.Cache.ExportTemplates(); len(learned) != 1 || len(own) != 1 ||
+		!reflect.DeepEqual(own[0].Assignment, learned[0].Assignment) || !reflect.DeepEqual(own[0].Topology, learned[0].Topology) {
+		t.Fatalf("coordinator cache holds %+v, the workers were shipped %+v", own, learned)
+	}
+
+	file := t.TempDir() + "/plans.json"
+	if err := ts.engine.Cache.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTravelServer(t, true, file)
+	if status, body := fresh.query(t, "luxury", nil); status != http.StatusOK {
+		t.Fatalf("restarted fleet: status %d (%s)", status, body.Error)
+	}
+	if hit, miss := fresh.metricSum(t, "mdq_fleet_template_probes_total", `outcome="hit"`),
+		fresh.metricSum(t, "mdq_fleet_template_probes_total", `outcome="miss"`); hit != 1 || miss != 0 {
+		t.Fatalf("restarted fleet's first query: %v probe hits, %v misses, want 1 and 0", hit, miss)
+	}
+	for i, w := range fresh.workers {
+		if n := w.Cache().Stats().Searches; n != 0 {
+			t.Fatalf("restarted fleet: worker %d ran %d searches, want 0", i, n)
 		}
 	}
 }

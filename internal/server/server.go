@@ -145,6 +145,11 @@ func (s *Server) attachFleet(cfg Config) {
 		obs.metrics.CounterL(name, help, "worker", worker).Inc()
 		obs.events.Publish("retry", map[string]string{"op": op, "worker": worker})
 	}
+	e.OnProbe = func(outcome string) {
+		obs.metrics.CounterL("mdq_fleet_template_probes_total",
+			"Template probes sent to a worker, by outcome: a hit served the query from that worker's cached skeleton, a miss paid a sharded search.",
+			"outcome", outcome).Inc()
+	}
 	s.stopFleet = e.startFleet(cfg.HealthInterval)
 	if e.Feedback != nil {
 		fmt.Printf("coordinator mode: execution traffic flows through the workers — " +
