@@ -47,9 +47,13 @@ docscheck:
 # Distributed-optimization smoke: the coordinator/worker protocol
 # under the race detector — two-plus-worker LocalTransport clusters
 # (sharded search, wire bound-sync, epoch gossip, cache warmup) and
-# the HTTP transport over loopback.
+# the HTTP transport over loopback. The second line repeats the
+# accounting tests of fragments stopped at K at several GOMAXPROCS:
+# whether the output reaches K before a fragment's last frame depends
+# on the CPU count, and one CPU alone hides the race.
 dist-smoke:
 	$(GO) test -race -count=1 ./internal/dist
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestDistributedExecutionMatchesLocal|TestReverseEpochGossip|TestExecutePlanBudgetAccounting' ./internal/dist
 
 # Cross-query sharing smoke, all under the race detector: the
 # shared≡unshared differential (result-cache clusters on all three

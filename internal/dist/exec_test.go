@@ -184,3 +184,54 @@ func TestExecuteFragmentDisabled(t *testing.T) {
 		t.Fatal("execution against disabled workers did not error")
 	}
 }
+
+// recordingTransport is a LocalTransport that keeps the last fragment
+// request it forwarded.
+type recordingTransport struct {
+	LocalTransport
+	req *ExecuteRequest
+}
+
+func (t *recordingTransport) ExecuteFragment(ctx context.Context, req ExecuteRequest, sink func([]WireTuple) error) (*ExecuteResult, error) {
+	t.req = &req
+	return t.LocalTransport.ExecuteFragment(ctx, req, sink)
+}
+
+// TestExecuteFragmentSatisfiedStop: a worker whose sink answers
+// exec.ErrSatisfied partway through a batch still returns the full
+// accounting frame, and its Tuples counts exactly the tuples handed to
+// the sink — the whole batch the sink stopped reading, none of the
+// ones produced after it.
+func TestExecuteFragmentSatisfiedStop(t *testing.T) {
+	w := worlds[2] // zipf: one fragment, streaming far past K
+	co, workers := localCluster(t, w, 1)
+	rec := &recordingTransport{LocalTransport: co.Workers[0].(LocalTransport)}
+	co.Workers[0] = rec
+	co.K = 0 // drain, so the recorded request is an ordinary one
+	p := optimizeOn(t, co, w.text)
+	if _, err := co.ExecutePlan(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if rec.req == nil {
+		t.Fatal("no fragment was dispatched")
+	}
+	req := *rec.req
+	req.BatchSize = 2
+	handed, batches := 0, 0
+	res, err := workers[0].ExecuteFragment(context.Background(), req, func(batch []WireTuple) error {
+		handed += len(batch)
+		if batches++; batches == 2 {
+			return exec.ErrSatisfied
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("satisfied stop failed: %v", err)
+	}
+	if res.Tuples != handed || handed != 4 {
+		t.Fatalf("frame reports %d tuples, sink was handed %d (want 4)", res.Tuples, handed)
+	}
+	if len(res.Calls) == 0 || len(res.Fetches) == 0 {
+		t.Fatalf("satisfied stop returned no call accounting: %+v", res)
+	}
+}

@@ -182,6 +182,11 @@ func buildSkeleton(q *cq.Query, assignment []string, topo *plan.Topology, choose
 // traffic has just been folded into the local profiles, and the bumps
 // report that upstream (reverse gossip). A nil sink discards tuples
 // (counting only).
+//
+// A satisfied stop — the sink returns exec.ErrSatisfied, or ctx ends
+// with that cause because the calling run holds its K rows — still
+// returns the full result: its Tuples counts exactly the tuples handed
+// to the sink, including a batch the sink stopped reading partway.
 func (w *Worker) ExecuteFragment(ctx context.Context, req ExecuteRequest, sink func(batch []WireTuple) error) (*ExecuteResult, error) {
 	if w.ExecuteDisabled {
 		return nil, errors.New("dist: fragment execution is disabled on this worker")
@@ -280,20 +285,19 @@ func (w *Worker) ExecuteFragment(ctx context.Context, req ExecuteRequest, sink f
 		batchSize = DefaultExecuteBatch
 	}
 	var batch []WireTuple
-	count := 0
+	count := 0 // tuples handed to sink, whatever it answered
 	flush := func() error {
-		if len(batch) == 0 || sink == nil {
-			batch = nil
-			return nil
+		count += len(batch)
+		var err error
+		if len(batch) > 0 && sink != nil {
+			err = sink(batch)
 		}
-		err := sink(batch)
 		batch = nil
 		return err
 	}
 	runner := &exec.Runner{Registry: w.reg, Cache: mode, Feedback: w.Feedback, BufferSize: w.BufferSize, ResultCache: w.ResultCache}
 	res, err := runner.RunFragment(ctx, p, req.Atoms, seeds, func(t exec.Tuple) error {
 		batch = append(batch, encodeTuple(t))
-		count++
 		if len(batch) >= batchSize {
 			return flush()
 		}
@@ -302,7 +306,9 @@ func (w *Worker) ExecuteFragment(ctx context.Context, req ExecuteRequest, sink f
 	if err != nil {
 		return nil, err
 	}
-	if err := flush(); err != nil {
+	// A sink answering exec.ErrSatisfied has what it needs: the calls
+	// were made all the same, so the result still reports them.
+	if err := flush(); err != nil && !errors.Is(err, exec.ErrSatisfied) {
 		return nil, err
 	}
 	rootSp.End()
@@ -494,13 +500,20 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 	// chain's seed tuples (the execute wire ships them with the
 	// request), dispatches, and emits the worker's batch stream tuple by
 	// tuple as frames arrive. Calls are charged against the budget when
-	// the fragment's accounting frame lands — a fragment cancelled
-	// mid-stream never reports, so exec.Stats counts exactly the
-	// completed fragments, and a retried fragment charges exactly once
-	// (only the completed attempt reports). Once the output has its K
-	// rows the scheduler has cancelled ctx and drops whatever error the
-	// torn-down stream (or a late budget charge the cap would reject)
-	// produces here: the answer is already complete.
+	// the fragment's accounting frame lands, and every returned frame is
+	// folded into exec.Stats, the budget and the absorbed epoch bumps
+	// before its cross-checks run. A retried fragment charges exactly
+	// once: only the attempt that returns a frame reports.
+	//
+	// Once the output has its K rows the scheduler cancels ctx with
+	// exec.ErrSatisfied and emit answers exec.ErrSatisfied. In-process
+	// (LocalTransport) the worker's fragment takes that as a satisfied
+	// stop and still returns its frame — calls, fetches, bumps, spans —
+	// so the fold counts the calls it made. Over HTTP the stream closes
+	// at K and the worker sees only a disconnect: that fragment's frame
+	// is lost, and its calls go uncounted. Either way the scheduler
+	// drops whatever error the torn-down stream (or a late budget charge
+	// the cap would reject) produces here: the answer is complete.
 	//
 	// Failover: a transiently failed dispatch re-runs on the next live
 	// hosting candidate. `sent` is the resume cursor — how many tuples
@@ -590,10 +603,10 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 				}
 			}
 			skip := sent
-			streamed := 0
+			streamed := 0 // every tuple received, forwarded or not
 			fres, err := tr.ExecuteFragment(ctx, req, func(batch []WireTuple) error {
+				streamed += len(batch)
 				for _, wt := range batch {
-					streamed++
 					if skip > 0 {
 						// Replayed prefix: an earlier attempt already
 						// forwarded this tuple before dying.
@@ -623,6 +636,15 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 					if berr := budget.Err(); berr != nil {
 						return berr
 					}
+					var be *serve.BudgetError
+					if req.BudgetCalls > 0 && errors.As(err, &be) && be.Reason == "calls" {
+						// The worker made the whole shipped cap of calls
+						// and refused one more, as the invoker does: its
+						// frame is lost, so charge that here — the cap is
+						// global even when the output already has its K
+						// rows and this error is dropped.
+						budget.Charge(req.BudgetCalls + 1)
+					}
 				}
 				if ctx.Err() != nil {
 					return context.Canceled
@@ -640,16 +662,8 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 			dsp.Splice(fres.Spans)
 			dsp.Set("tuples", strconv.Itoa(fres.Tuples))
 			dsp.End()
-			if fres.Tuples != streamed {
-				return fmt.Errorf("dist: fragment %v on %s reported %d tuples, streamed %d", f.Atoms, tr.Name(), fres.Tuples, streamed)
-			}
-			if streamed < sent {
-				// The replay produced fewer tuples than the cursor says
-				// were already forwarded: the replacement worker did not
-				// reproduce the dead one's stream (registries disagree?) —
-				// fail loudly rather than join a corrupted splice.
-				return fmt.Errorf("dist: fragment %v on %s replayed %d tuples below resume cursor %d", f.Atoms, tr.Name(), streamed, sent)
-			}
+			// The worker made these calls whatever the checks below
+			// find, so the frame is folded first.
 			var fragCalls int64
 			mu.Lock()
 			for name, v := range fres.Calls {
@@ -663,10 +677,21 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 			if len(fres.Bumps) > 0 && !c.sharesRegistry(tr) {
 				c.AbsorbBumps(fres.Bumps)
 			}
+			var charged error
 			if budget != nil {
-				return budget.Charge(fragCalls)
+				charged = budget.Charge(fragCalls)
 			}
-			return nil
+			if fres.Tuples != streamed {
+				return fmt.Errorf("dist: fragment %v on %s reported %d tuples, streamed %d", f.Atoms, tr.Name(), fres.Tuples, streamed)
+			}
+			if streamed < sent {
+				// The replay produced fewer tuples than the cursor says
+				// were already forwarded: the replacement worker did not
+				// reproduce the dead one's stream (registries disagree?) —
+				// fail loudly rather than join a corrupted splice.
+				return fmt.Errorf("dist: fragment %v on %s replayed %d tuples below resume cursor %d", f.Atoms, tr.Name(), streamed, sent)
+			}
+			return charged
 		}
 	}
 
@@ -679,6 +704,17 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 	res, err := runner.RunChains(ctx, p, chains, dispatch)
 	if err != nil {
 		return nil, err
+	}
+	if budget != nil {
+		// The scheduler drops stage errors once the output holds its K
+		// rows, a late charge over the cap among them. But the fleet made
+		// those calls: concurrent fragments each carry the cap left at
+		// their dispatch, so together they can overshoot it. The cap
+		// bounds the calls a query makes, not the calls counted before
+		// its answer was complete, so an overspent run fails with it.
+		if err := budget.Overspent(); err != nil {
+			return nil, err
+		}
 	}
 	res.Stats = stats
 	res.Elapsed += setup

@@ -131,10 +131,18 @@ func TestTracedDistributedSpanTree(t *testing.T) {
 				}
 			case "dist.execute.dispatch":
 				execDispatches++
+				spliced := false
 				for _, c := range n.Children {
 					if c.Name == "worker.fragment" {
 						fragSpliced++
+						spliced = true
 					}
+				}
+				// Only a failed attempt may lack the worker's spans: a
+				// fragment stopped at K still returns them.
+				if _, failed := n.Attrs["error"]; !failed && !spliced {
+					t.Errorf("probe=%s: dispatch of %s on %s has no error and no worker.fragment child",
+						want.probe, n.Attrs["atoms"], n.Attrs["worker"])
 				}
 			}
 			if len(n.Name) > 5 && n.Name[:5] == "node:" {

@@ -34,9 +34,17 @@ import (
 // returned. With a nil sink the tuples are collected in
 // Result.Tuples. Result.Head and Result.Rows are always nil: a
 // fragment produces intermediate bindings, not projected answers.
+//
+// A fragment whose consumer has every answer it needs stops early
+// without failing: a sink that returns ErrSatisfied, or a ctx ended
+// with the cause ErrSatisfied (the coordinator's run holding its K
+// rows), is a satisfied stop. The fragment is cancelled and the call
+// accounting of what it ran so far is returned with a nil error; a
+// ctx cancelled any other way still fails with the context's error.
 // The runner's Feedback policy applies to the fragment's services
-// afterwards, exactly as in Run — this is what makes an executing
-// worker's profiles absorb the traffic that flowed near them.
+// afterwards, exactly as in Run, satisfied stops included — this is
+// what makes an executing worker's profiles absorb the traffic that
+// flowed near them.
 func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, seeds []Tuple, sink func(Tuple) error) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -50,7 +58,7 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 	seq := *r
 	seq.ParallelCalls = false
 	ex := seq.newExecution(ctx, p, chain)
-	defer ex.cancel()
+	defer ex.cancel(nil)
 	for _, t := range seeds {
 		if t.Width() != ex.ix.Len() {
 			return nil, fmt.Errorf("exec: fragment seed has %d slots, plan layout has %d", t.Width(), ex.ix.Len())
@@ -76,7 +84,8 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 		ex.spawn(func(ctx context.Context) error { return ex.runService(ctx, n, edges[i], edges[i+1:i+2]) })
 	}
 	// The sink stage runs on the caller's goroutine; a sink error
-	// cancels the run, which unblocks the stages still emitting.
+	// cancels the run with the error as the cause (ErrSatisfied makes
+	// it a satisfied stop), which unblocks the stages still emitting.
 	var tuples []Tuple
 	for t := range edges[len(chain)].ch {
 		if sink == nil {

@@ -8,6 +8,7 @@ import (
 
 	"mdq/internal/card"
 	. "mdq/internal/exec"
+	"mdq/internal/service"
 	"mdq/internal/simweb"
 )
 
@@ -98,6 +99,59 @@ func TestRunFragmentStreaming(t *testing.T) {
 		return boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("sink error not surfaced: %v", err)
+	}
+}
+
+// TestRunFragmentSatisfiedStop: a fragment whose consumer has every
+// answer it needs — its context ended with the cause ErrSatisfied, or
+// its sink answering ErrSatisfied — stops without failing, returns the
+// call accounting of what it ran and applies Feedback, as a Run cut at
+// K does; the same stop under a plain cancel still fails with
+// context.Canceled. The sink is the gate: the stop lands on the first
+// tuple by script, while the one-tuple arcs hold the rest of the
+// stream back.
+func TestRunFragmentSatisfiedStop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(cancel context.CancelCauseFunc) error // the sink's answer to its first tuple
+		want error
+	}{
+		{"context cause", func(cancel context.CancelCauseFunc) error { cancel(ErrSatisfied); return nil }, nil},
+		{"sink answer", func(context.CancelCauseFunc) error { return ErrSatisfied }, nil},
+		{"plain cancel", func(cancel context.CancelCauseFunc) error { cancel(nil); return nil }, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, p := travelPlan(t, simweb.PlanSTopology())
+			w.Registry.ObserveAll()
+			r := &Runner{Registry: w.Registry, Cache: card.OneCall, BufferSize: 1,
+				Feedback: &service.FeedbackPolicy{}}
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			ix := NewVarIndex(p)
+			seen := 0
+			res, err := r.RunFragment(ctx, p, chainS, []Tuple{NewTuple(ix)}, func(Tuple) error {
+				seen++
+				if seen == 1 {
+					return tc.stop(cancel)
+				}
+				return nil
+			})
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) || res != nil {
+					t.Fatalf("RunFragment = %v, %v; want nil, %v", res, err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("satisfied stop failed: %v", err)
+			}
+			if res.Stats.Calls["conf"] == 0 || res.Stats.Calls["hotel"] == 0 {
+				t.Fatalf("satisfied stop kept no call accounting: %v", res.Stats.Calls)
+			}
+			if w.Registry.Epoch("conf") == 0 {
+				t.Fatal("feedback did not run after the satisfied stop")
+			}
+		})
 	}
 }
 

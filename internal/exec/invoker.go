@@ -71,29 +71,61 @@ func (iv *NodeInvoker) Inputs(t Tuple) ([]schema.Value, error) {
 // fetches (zero on a hit). Counters count only calls that reach the
 // service.
 func (iv *NodeInvoker) Call(ctx context.Context, t Tuple) (rows [][]schema.Value, hit bool, elapsed time.Duration, err error) {
-	inputs, err := iv.Inputs(t)
+	l, err := iv.lookup(t)
 	if err != nil {
 		return nil, false, 0, err
 	}
-	key := service.Request{Inputs: inputs}.Key()
-	fetches := iv.Node.Fetches
-	if fetches < 1 {
-		fetches = 1
+	if l.hit {
+		return l.entry.Rows, true, 0, nil
 	}
-	entry, ok := iv.Cache.Get(iv.Node.Atom.Service, key)
-	if ok && (entry.Exhausted || entry.Pages >= fetches) {
-		return entry.Rows, true, 0, nil
+	entry, elapsed, err := iv.fetch(ctx, l)
+	if err != nil {
+		return nil, false, 0, err
 	}
-	if !ok {
-		entry = Entry{}
+	iv.Cache.Put(iv.Node.Atom.Service, l.key, entry)
+	return entry.Rows, false, elapsed, nil
+}
+
+// lookup is the decision half of Call: the request for a tuple and
+// what the logical cache holds for it. hit means the entry answers
+// the call; otherwise entry is the prefix to resume (empty on a miss).
+type lookup struct {
+	inputs  []schema.Value
+	key     string
+	fetches int
+	entry   Entry
+	hit     bool
+}
+
+func (iv *NodeInvoker) lookup(t Tuple) (lookup, error) {
+	inputs, err := iv.Inputs(t)
+	if err != nil {
+		return lookup{}, err
 	}
+	l := lookup{inputs: inputs, key: service.Request{Inputs: inputs}.Key(), fetches: iv.Node.Fetches}
+	if l.fetches < 1 {
+		l.fetches = 1
+	}
+	entry, ok := iv.Cache.Get(iv.Node.Atom.Service, l.key)
+	if ok {
+		l.entry = entry
+		l.hit = entry.Exhausted || entry.Pages >= l.fetches
+	}
+	return l, nil
+}
+
+// fetch is the invocation half of Call: it issues the fetches l's
+// entry lacks and returns the completed entry, which the caller puts
+// into the cache.
+func (iv *NodeInvoker) fetch(ctx context.Context, l lookup) (entry Entry, elapsed time.Duration, err error) {
+	entry = l.entry
 	// The call is about to reach the service: charge it against the
 	// request's budget (logical cache hits above cost nothing). A call
 	// that would exceed the cap — or whose deadline has passed — is
 	// never issued.
 	if b := serve.FromContext(ctx); b != nil {
 		if err := b.Charge(1); err != nil {
-			return nil, false, 0, err
+			return Entry{}, 0, err
 		}
 	}
 	// Under a traced context the node span counts the real invocation
@@ -101,17 +133,17 @@ func (iv *NodeInvoker) Call(ctx context.Context, t Tuple) (rows [][]schema.Value
 	// never alters it (the differential suite pins call-count parity).
 	nodeSp := trace.From(ctx)
 	callSp := nodeSp.Child("call:" + iv.Node.Atom.Service)
-	rows = entry.Rows
+	rows := entry.Rows
 	pages := 0
-	for page := entry.Pages; page < fetches; page++ {
-		resp, ferr := iv.Svc.Invoke(ctx, iv.PatIdx, service.Request{Inputs: inputs, Page: page})
+	for page := entry.Pages; page < l.fetches; page++ {
+		resp, ferr := iv.Svc.Invoke(ctx, iv.PatIdx, service.Request{Inputs: l.inputs, Page: page})
 		if ferr != nil {
 			if ctx.Err() != nil {
-				return nil, false, 0, context.Canceled
+				return Entry{}, 0, context.Canceled
 			}
 			callSp.Set("error", ferr.Error())
 			callSp.End()
-			return nil, false, 0, ferr
+			return Entry{}, 0, ferr
 		}
 		iv.Counter.AddFetch()
 		pages++
@@ -131,8 +163,7 @@ func (iv *NodeInvoker) Call(ctx context.Context, t Tuple) (rows [][]schema.Value
 		callSp.Set("rows", fmt.Sprint(len(rows)))
 		callSp.End()
 	}
-	iv.Cache.Put(iv.Node.Atom.Service, key, entry)
-	return rows, false, elapsed, nil
+	return entry, elapsed, nil
 }
 
 // Expand binds the result rows into the flowing tuple and applies

@@ -48,7 +48,7 @@ func budgetAbort(ctx context.Context, err error) error {
 }
 
 // maxParallel bounds concurrent invocations per stage in ParallelCalls
-// mode.
+// mode: it is the size of a dispatch window.
 const maxParallel = 16
 
 // Runner executes query plans against registered services as a
@@ -67,10 +67,12 @@ type Runner struct {
 	// Clock accounts for simulated service time; nil ignores it
 	// (counts only).
 	Clock Clock
-	// ParallelCalls dispatches all pending invocations of a stage
-	// concurrently instead of sequentially — the separate
-	// multithreading test of §6. It randomizes arrival order, which
-	// degrades the one-call cache exactly as the paper observed.
+	// ParallelCalls dispatches a stage's invocations concurrently,
+	// maxParallel at a time, instead of sequentially — the separate
+	// multithreading test of §6. Its results arrive interleaved across
+	// the concurrent calls, which degrades the one-call cache as the
+	// paper observed; the interleaving is fixed by the input, so the
+	// call counts are too (see dispatchWindow).
 	ParallelCalls bool
 	// SharedCache, when set, is used instead of a fresh cache built
 	// from Cache — the mechanism behind continued executions (§2.2):
@@ -230,45 +232,126 @@ func (ex *execution) runService(ctx context.Context, n *plan.Node, in *edge, out
 		return nil
 	}
 
-	// Multithreaded dispatch (§6): all pending calls of this stage go
-	// out on parallel threads; results interleave nondeterministically.
-	sem := make(chan struct{}, maxParallel)
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
+	// Multithreaded dispatch (§6), one window of maxParallel input
+	// tuples at a time (see dispatchWindow). The windows are fixed runs
+	// of the input, not whatever happens to be pending, so what the
+	// stage calls does not depend on arrival timing.
+	window := make([]Tuple, 0, maxParallel)
 	for t := range in.ch {
-		t := t
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
+		if ctx.Err() != nil {
 			return nil
 		}
+		window = append(window, t)
+		if len(window) == maxParallel {
+			if err := st.dispatchWindow(ctx, nsp, window, outs); err != nil {
+				return err
+			}
+			window = window[:0]
+		}
+	}
+	if len(window) == 0 || ctx.Err() != nil {
+		return nil
+	}
+	return st.dispatchWindow(ctx, nsp, window, outs)
+}
+
+// dispatchWindow runs one window of a multithreaded stage. The window
+// is decided in input order against the logical cache as it stood when
+// the window opened: a tuple the cache answers is a hit, and tuples
+// whose call the cache does not answer share one call per key — a
+// get-or-compute, not two concurrent misses — except under no cache,
+// which repeats every call (§5.1). The window's calls then run on
+// parallel threads; once all have returned their entries land in the
+// cache in input order, and the results leave interleaved tuple by
+// tuple across the window, as parallel threads' answers do. That
+// interleaving is what degrades a one-call cache downstream, as the
+// paper observed; since none of it depends on goroutine scheduling,
+// the calls a plan makes are a function of the plan and its input.
+func (st *svcStage) dispatchWindow(ctx context.Context, nsp *trace.Span, window []Tuple, outs []*edge) error {
+	iv := st.iv
+	looks := make([]lookup, len(window))
+	owner := make([]int, len(window)) // the tuple whose call answers this one; -1 for a hit
+	byKey := map[string]int{}
+	share := st.ex.runner.Cache != card.NoCache
+	for i, t := range window {
+		l, err := iv.lookup(t)
+		if err != nil {
+			return err
+		}
+		looks[i] = l
+		j, ok := byKey[l.key]
+		switch {
+		case l.hit:
+			owner[i] = -1
+		case ok && share:
+			owner[i] = j
+		default:
+			owner[i] = i
+			byKey[l.key] = i
+		}
+	}
+	entries := make([]Entry, len(window))
+	errs := make([]error, len(window))
+	var wg sync.WaitGroup
+	for i := range window {
+		if owner[i] != i {
+			continue
+		}
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
-			results, err := st.process(ctx, t)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil && err != context.Canceled {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			nsp.AddObs(1, int64(len(results)), 0, 0)
-			for _, rt := range results {
-				if emit(ctx, outs, rt) != nil {
-					return
+			entry, elapsed, err := iv.fetch(ctx, looks[i])
+			if err == nil && st.ex.runner.Clock != nil && elapsed > 0 {
+				if st.ex.runner.Clock.Sleep(ctx, elapsed) != nil {
+					err = context.Canceled
 				}
 			}
-		}()
+			entries[i], errs[i] = entry, err
+		}(i)
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	canceled := false
+	for _, err := range errs {
+		if err == context.Canceled {
+			canceled = true
+		} else if err != nil {
+			return err
+		}
+	}
+	if canceled {
+		return nil
+	}
+	for i := range window {
+		if owner[i] == i {
+			iv.Cache.Put(iv.Node.Atom.Service, looks[i].key, entries[i])
+		}
+	}
+	results := make([][]Tuple, len(window))
+	for i, t := range window {
+		rows := looks[i].entry.Rows
+		if owner[i] >= 0 {
+			rows = entries[owner[i]].Rows
+		}
+		out, err := iv.Expand(t, rows)
+		if err != nil {
+			return err
+		}
+		nsp.AddObs(1, int64(len(out)), 0, 0)
+		results[i] = out
+	}
+	for r, more := 0, true; more; r++ {
+		more = false
+		for _, out := range results {
+			if r >= len(out) {
+				continue
+			}
+			more = true
+			if emit(ctx, outs, out[r]) != nil {
+				return nil // downstream satisfied
+			}
+		}
+	}
+	return nil
 }
 
 type svcStage struct {

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"mdq/internal/card"
@@ -71,6 +72,51 @@ func TestFigure11CallCounts(t *testing.T) {
 			}
 			if got := res.Stats.Calls["hotel"]; got != tc.hotel {
 				t.Errorf("hotel calls = %d, want %d", got, tc.hotel)
+			}
+		})
+	}
+}
+
+// TestParallelCallsDeterministic: multithreaded dispatch (§6) is a
+// function of plan and input, not of goroutine scheduling — repeated
+// runs make the same calls and return the same rows in the same
+// order. The cache levels whose hits do not depend on order (no
+// cache, optimal) make exactly the sequential calls; the one-call
+// cache degrades, as the paper observed, by the same amount every run.
+func TestParallelCallsDeterministic(t *testing.T) {
+	for _, mode := range []card.CacheMode{card.NoCache, card.OneCall, card.Optimal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			seq, _ := runPlan(t, simweb.PlanSTopology(), mode)
+			var first *Result
+			for i := 0; i < 3; i++ {
+				w, p := travelPlan(t, simweb.PlanSTopology())
+				r := &Runner{Registry: w.Registry, Cache: mode, ParallelCalls: true}
+				res, err := r.Run(context.Background(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				if !reflect.DeepEqual(res.Stats.Calls, first.Stats.Calls) {
+					t.Fatalf("run %d calls %v, first run %v", i, res.Stats.Calls, first.Stats.Calls)
+				}
+				if !reflect.DeepEqual(res.Rows, first.Rows) {
+					t.Fatalf("run %d rows differ from the first run's", i)
+				}
+			}
+			if len(first.Rows) != len(seq.Rows) {
+				t.Fatalf("parallel rows = %d, sequential %d", len(first.Rows), len(seq.Rows))
+			}
+			if mode == card.OneCall {
+				if got, s := first.Stats.Calls["hotel"], seq.Stats.Calls["hotel"]; got <= s {
+					t.Fatalf("one-call hotel calls = %d, sequential %d: no degradation", got, s)
+				}
+				return
+			}
+			if !reflect.DeepEqual(first.Stats.Calls, seq.Stats.Calls) {
+				t.Fatalf("parallel calls %v, sequential %v", first.Stats.Calls, seq.Stats.Calls)
 			}
 		})
 	}

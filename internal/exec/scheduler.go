@@ -12,14 +12,24 @@ package exec
 //     one tripped); context.Canceled from a stage is the echo of a
 //     cancellation, never its cause, and is not recorded;
 //   - once the output stage has collected K rows it cancels the run
-//     itself: the answer is complete, so stage errors from then on are
-//     dropped — they are upstream stages being torn down mid-call;
-//   - a run whose context ends without K reached was cancelled from
-//     outside and fails with the context's error instead of passing as
-//     a complete result.
+//     itself with the cause ErrSatisfied: the answer is complete, so
+//     stage errors from then on are dropped — they are upstream stages
+//     being torn down mid-call — and arc sends fail with ErrSatisfied
+//     instead of context.Canceled, so a substituted stage's consumer
+//     can tell its producer that it stops because it has enough;
+//   - a run whose context ends with the cause ErrSatisfied from
+//     outside (the coordinator's run, which holds its K rows, above a
+//     worker's fragment) is a satisfied stop too: it keeps the Stats of
+//     the nodes it ran and applies Feedback, as a run cut at its own K
+//     does, and so does a run whose substituted stage or fragment sink
+//     returns ErrSatisfied;
+//   - a run whose context ends any other way without K reached was
+//     cancelled from outside and fails with the context's error instead
+//     of passing as a complete result.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,6 +38,13 @@ import (
 	"mdq/internal/schema"
 	"mdq/internal/service"
 )
+
+// ErrSatisfied is the cancellation cause of a run that stops because
+// its consumer has every answer it asked for: the output stage of a
+// run with K set cancels with it once K rows are out (§2.2), and a
+// consumer of RunFragment's sink may return it to say the same. A run
+// ended by it is complete, not aborted (see the rules above).
+var ErrSatisfied = errors.New("exec: top-k answers complete")
 
 // execution is the state of one scheduled dataflow.
 type execution struct {
@@ -38,9 +55,10 @@ type execution struct {
 	calls  map[string]*service.Counter
 	start  time.Time
 
-	// ctx is what every stage runs under; cancel ends the run early.
+	// ctx is what every stage runs under; cancel ends the run early,
+	// with its cause.
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex // guards the fields below
@@ -62,7 +80,7 @@ func (r *Runner) newExecution(ctx context.Context, p *plan.Plan, local []*plan.N
 		calls:  map[string]*service.Counter{},
 		start:  time.Now(),
 	}
-	ex.ctx, ex.cancel = context.WithCancel(ctx)
+	ex.ctx, ex.cancel = context.WithCancelCause(ctx)
 	for _, n := range local {
 		if ex.calls[n.Atom.Service] == nil {
 			ex.calls[n.Atom.Service] = &service.Counter{}
@@ -81,17 +99,26 @@ func (ex *execution) spawn(stage func(ctx context.Context) error) {
 }
 
 // settle takes a finished stage's outcome: a failed stage cancels the
-// run, and its error is kept if it is the first worth reporting.
+// run with its error as the cause, and the error is kept if it is the
+// first worth reporting — not an echo (context.Canceled, ErrSatisfied)
+// and not raised after a satisfied stop.
 func (ex *execution) settle(err error) {
 	if err == nil {
 		return
 	}
 	ex.mu.Lock()
-	if err != context.Canceled && ex.err == nil && !ex.reached {
+	if err != context.Canceled && !errors.Is(err, ErrSatisfied) && ex.err == nil && !satisfied(ex.ctx) {
 		ex.err = err
 	}
 	ex.mu.Unlock()
-	ex.cancel()
+	ex.cancel(err)
+}
+
+// satisfied reports whether ctx ended with the cause ErrSatisfied: for
+// a run's context, its own output reached K, a consumer returned it,
+// or the run it is part of was satisfied.
+func satisfied(ctx context.Context) bool {
+	return errors.Is(context.Cause(ctx), ErrSatisfied)
 }
 
 // wait blocks until every stage has returned and settles the run: the
@@ -100,7 +127,7 @@ func (ex *execution) settle(err error) {
 func (ex *execution) wait() (*Result, error) {
 	ex.wg.Wait()
 	err := ex.err
-	if err == nil && !ex.reached {
+	if err == nil && !satisfied(ex.ctx) {
 		err = ex.ctx.Err()
 	}
 	if err != nil {
@@ -128,9 +155,10 @@ type arcKey struct{ from, to int }
 // linear chains of service nodes (atom indexes in execution order, as
 // for RunFragment) is replaced by one call of stage: it receives the
 // chain's index, the arc flowing into the chain's head, and an emit
-// that sends on the arcs leaving its tail (closed when stage returns).
-// A stage must consume in until it is closed unless it returns an
-// error or ctx — the run's context, cancelled at K — has ended. This
+// that sends on the arcs leaving its tail (closed when stage returns)
+// and fails with ErrSatisfied once the run has its K rows. A stage
+// must consume in until it is closed unless it returns an error or
+// ctx — the run's context, cancelled at K — has ended. This
 // is the substitution point distributed execution plugs fragment
 // dispatch into: joins, projection, K-termination and error handling
 // stay the scheduler's. Result.Stats covers the service nodes the
@@ -164,7 +192,7 @@ func (r *Runner) RunChains(ctx context.Context, p *plan.Plan, chains [][]int, st
 		}
 	}
 	ex := r.newExecution(ctx, p, local)
-	defer ex.cancel()
+	defer ex.cancel(nil)
 
 	// One bounded channel per arc; the arcs inside a substituted chain
 	// belong to its stage.
@@ -219,12 +247,17 @@ func (r *Runner) RunChains(ctx context.Context, p *plan.Plan, chains [][]int, st
 	return res, nil
 }
 
-// emit sends a tuple to every outgoing arc, honoring cancellation.
+// emit sends a tuple to every outgoing arc, honoring cancellation: it
+// fails with ErrSatisfied once the run is satisfied and with
+// context.Canceled when it was cancelled any other way.
 func emit(ctx context.Context, outs []*edge, t Tuple) error {
 	for _, e := range outs {
 		select {
 		case e.ch <- t:
 		case <-ctx.Done():
+			if satisfied(ctx) {
+				return ErrSatisfied
+			}
 			return context.Canceled
 		}
 	}
@@ -260,7 +293,7 @@ func (ex *execution) runOutput(in *edge) error {
 			}
 			if ex.runner.K > 0 && len(ex.rows) >= ex.runner.K {
 				ex.reached = true
-				ex.cancel()
+				ex.cancel(ErrSatisfied)
 			}
 		}
 		ex.mu.Unlock()

@@ -327,8 +327,8 @@ func Multithread(ctx context.Context) (*Report, error) {
 	}
 
 	// One-call cache degradation under real concurrency: the runner
-	// interleaves result tuples across blocks, so hotel misses climb
-	// from 15 toward 284 (the paper measured 212).
+	// interleaves result tuples across the calls of a dispatch window,
+	// so hotel misses climb from 15 to 154 (the paper measured 212).
 	fx2, err := newTravelFixture(simweb.TravelOptions{})
 	if err != nil {
 		return nil, err
@@ -351,7 +351,7 @@ func Multithread(ctx context.Context) (*Report, error) {
 	rep.AddRow("parallel-dispatch makespan", "76s", fmt.Sprintf("%.0fs", par.Makespan.Seconds()))
 	rep.AddRow("hotel calls, one-call cache, multithreaded", "212 (vs 15 sequential)", d0(rres.Stats.Calls["hotel"]))
 	rep.AddNote("parallel makespan ≈ sum of the slowest calls per stage (jittered latencies, log-σ 0.75)")
-	rep.AddNote("the runner's interleaving is scheduler-dependent; the measured degradation varies per run " +
-		"between 15 and 284")
+	rep.AddNote("the runner interleaves the results of each window of 16 concurrent calls tuple by tuple; " +
+		"the degradation is the same on every run")
 	return rep, nil
 }

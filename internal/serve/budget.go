@@ -139,6 +139,18 @@ func (b *Budget) Charge(n int64) error {
 	return b.Err()
 }
 
+// Overspent returns the calls violation when the calls charged so far
+// exceed the cap, nil otherwise. Unlike Err it ignores the deadline:
+// it asks whether work already done broke the cap, for a caller whose
+// charges land after the calls they account for (the distributed
+// coordinator's fragment frames).
+func (b *Budget) Overspent() error {
+	if b.maxCalls > 0 && b.calls.Load() > b.maxCalls {
+		return b.trip("calls", fmt.Sprintf("%d", b.maxCalls))
+	}
+	return nil
+}
+
 // Context returns a child context that carries the budget and — when
 // a deadline is set — expires with it, so everything downstream that
 // honors context cancellation (service invocations, fragment streams

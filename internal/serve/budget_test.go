@@ -52,6 +52,30 @@ func TestBudgetCallCap(t *testing.T) {
 	}
 }
 
+// TestBudgetOverspent: Overspent reports a call cap exceeded by what
+// was charged, and nothing else — not an uncapped budget, not a cap
+// met exactly, not an expired deadline.
+func TestBudgetOverspent(t *testing.T) {
+	if err := NewBudget(0, 0).Overspent(); err != nil {
+		t.Fatalf("uncapped budget overspent: %v", err)
+	}
+	b := NewBudget(0, 5)
+	b.Charge(5)
+	if err := b.Overspent(); err != nil {
+		t.Fatalf("cap met exactly reads as overspent: %v", err)
+	}
+	b.Charge(2)
+	var be *BudgetError
+	if err := b.Overspent(); !errors.As(err, &be) || be.Reason != "calls" {
+		t.Fatalf("Overspent = %v, want the calls BudgetError", err)
+	}
+	late := NewBudget(time.Nanosecond, 5)
+	time.Sleep(time.Millisecond)
+	if err := late.Overspent(); err != nil {
+		t.Fatalf("expired deadline reads as overspent: %v", err)
+	}
+}
+
 func TestBudgetDeadline(t *testing.T) {
 	b := NewBudget(time.Nanosecond, 0)
 	time.Sleep(time.Millisecond)
