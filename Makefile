@@ -29,20 +29,25 @@ bench:
 # Fuzz smoke: ten seconds of the frame-codec differential
 # (internal/dist FuzzBatchFrame) — the hand-written batch-frame writer
 # and reader against encoding/json, byte for byte and value for value,
-# on generated frames and arbitrary wire bytes. A finding lands in
-# internal/dist/testdata/fuzz and fails every later `go test`.
+# on generated frames and arbitrary wire bytes — then ten seconds of
+# plan-cache file loading (internal/opt FuzzPlanCacheLoad): arbitrary
+# bytes must load or fail without a panic, leave the cache's views
+# consistent, and Save/Load what was accepted as a fixed point. A
+# finding lands in the package's testdata/fuzz and fails every later
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFrame -fuzztime=10s ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzPlanCacheLoad -fuzztime=10s ./internal/opt
 
 # Documentation gate: markdown links in the top-level docs and the
 # docs/ reference pages must resolve, and every exported identifier
 # in the optimizer, estimator, distribution, execution, serving,
-# result-cache, tracing and engine/handler packages must carry a doc
-# comment.
+# result-cache, tracing, engine/handler and bounded-store packages
+# must carry a doc comment.
 docscheck:
 	$(GO) run ./cmd/docscheck \
 		-md README.md,ARCHITECTURE.md,ROADMAP.md,CHANGES.md,bench/README.md,docs/API.md,docs/OPERATIONS.md \
-		-pkg ./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/trace,./internal/server
+		-pkg ./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/trace,./internal/server,./internal/bounded
 
 # Distributed-optimization smoke: the coordinator/worker protocol
 # under the race detector — two-plus-worker LocalTransport clusters
@@ -56,7 +61,9 @@ dist-smoke:
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestDistributedExecutionMatchesLocal|TestReverseEpochGossip|TestExecutePlanBudgetAccounting' ./internal/dist
 
 # Cross-query sharing smoke, all under the race detector: the
-# shared≡unshared differential (result-cache clusters on all three
+# bounded-store model tests (the LRU under both caches, the ring under
+# the slowlog, trace store and event bus), the shared≡unshared
+# differential (result-cache clusters on all three
 # worlds over LocalTransport and HTTP return byte-identical rows with
 # strictly fewer logical calls on repeats), the epoch-invalidation
 # staleness pins (a bump is never followed by a stale serve, locally
@@ -68,7 +75,7 @@ dist-smoke:
 # first_row_ms).
 share-smoke:
 	$(GO) test -race -count=1 -run 'TestResultCache|TestWorkerGossip' ./internal/dist
-	$(GO) test -race -count=1 ./internal/rescache ./internal/serve ./internal/server
+	$(GO) test -race -count=1 ./internal/bounded ./internal/rescache ./internal/serve ./internal/server
 
 # End-to-end smoke: build the real binaries, start a coordinator and
 # two mdqworker processes over loopback HTTP, answer a query through

@@ -291,7 +291,7 @@ func (c *Coordinator) OptimizeTemplate(ctx context.Context, q *cq.Query) (*opt.R
 	c.Cache.ImportTemplates(learned, c.Registry)
 	// Best-effort, like any warm-up: a worker that missed the entry
 	// answers its next probe with a miss, and that search re-ships.
-	c.shipTemplates(ctx, learned)
+	c.WarmWorkers(ctx, learned)
 	return res, nil
 }
 
@@ -545,19 +545,15 @@ func (c *Coordinator) GossipLoop(onError func(error)) (stop func()) {
 	}
 }
 
-// WarmWorkers ships a cache's template entries to every live worker
-// (see opt.PlanCache.ExportTemplates); it returns the total number of
-// entries accepted across workers. Warming is best-effort per worker:
-// a worker that fails transiently (or is down) is skipped rather than
-// aborting the remaining deliveries — a cold cache costs one search,
-// not correctness — and the first failure is still reported so the
-// caller can log it.
-func (c *Coordinator) WarmWorkers(ctx context.Context, cache *opt.PlanCache) (int, error) {
-	return c.shipTemplates(ctx, cache.ExportTemplates())
-}
-
-// shipTemplates is WarmWorkers for entries already in wire form.
-func (c *Coordinator) shipTemplates(ctx context.Context, entries []opt.TemplateWireEntry) (int, error) {
+// WarmWorkers ships template entries in wire form — a cache's
+// opt.PlanCache.ExportTemplates, or one freshly merged winner — to
+// every live worker; it returns the total number of entries accepted
+// across workers. Warming is best-effort per worker: a worker that
+// fails transiently (or is down) is skipped rather than aborting the
+// remaining deliveries — a cold cache costs one search, not
+// correctness — and the first failure is still reported so the caller
+// can log it.
+func (c *Coordinator) WarmWorkers(ctx context.Context, entries []opt.TemplateWireEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}

@@ -228,7 +228,7 @@ func TestWarmWorkersFromUnshardedCache(t *testing.T) {
 	if _, err := seq.OptimizeTemplate(q); err != nil {
 		t.Fatal(err)
 	}
-	n, err := co.WarmWorkers(context.Background(), local)
+	n, err := co.WarmWorkers(context.Background(), local.ExportTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestWarmWorkers(t *testing.T) {
 	}
 
 	co2, workers2 := localCluster(t, w, 2)
-	n, err := co2.WarmWorkers(context.Background(), workers[0].Cache())
+	n, err := co2.WarmWorkers(context.Background(), workers[0].Cache().ExportTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}

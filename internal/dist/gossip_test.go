@@ -137,7 +137,7 @@ func TestReverseEpochGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm both workers so the sibling demonstrably holds an entry.
-	if n, werr := co.WarmWorkers(ctx, pc); werr != nil || n == 0 {
+	if n, werr := co.WarmWorkers(ctx, pc.ExportTemplates()); werr != nil || n == 0 {
 		t.Fatalf("warmup shipped %d entries (%v)", n, werr)
 	}
 

@@ -90,7 +90,7 @@ func TestHTTPGossipAndWarmup(t *testing.T) {
 
 	// Warm a second HTTP cluster from the first worker's cache.
 	co2, workers2 := httpCluster(t, w, 2)
-	n, err := co2.WarmWorkers(ctx, workers[0].Cache())
+	n, err := co2.WarmWorkers(ctx, workers[0].Cache().ExportTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestTemplateProbeNeverServesStale(t *testing.T) {
 			for _, wk := range workers {
 				wk.Cache().Purge()
 			}
-			if n, err := co.WarmWorkers(ctx, foreign); err != nil || n != len(workers) {
+			if n, err := co.WarmWorkers(ctx, foreign.ExportTemplates()); err != nil || n != len(workers) {
 				t.Fatalf("shipping the foreign entry: %d imported, %v", n, err)
 			}
 		}},

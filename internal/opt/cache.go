@@ -1,13 +1,13 @@
 package opt
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mdq/internal/abind"
+	"mdq/internal/bounded"
 	"mdq/internal/cq"
 	"mdq/internal/plan"
 )
@@ -100,10 +100,7 @@ type Policy struct {
 type PlanCache struct {
 	mu     sync.Mutex
 	policy Policy
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-	bytes  int64
-	now    func() time.Time // test hook; nil means time.Now
+	lru    *bounded.LRU[string, *cacheEntry]
 
 	hits, misses   uint64
 	templateHits   uint64
@@ -158,7 +155,6 @@ type classSlot struct {
 
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
-	key  string
 	kind entryKind
 	res  *Result // exact entries: the memoized result
 	// classes holds the per-binding-class skeletons and baselines of a
@@ -183,8 +179,6 @@ type cacheEntry struct {
 	// stale marks a template entry whose epoch vector lags the
 	// current statistics; it is served only after revalidation.
 	stale bool
-	bytes int64
-	added time.Time
 	hits  uint64
 }
 
@@ -200,34 +194,12 @@ func NewPlanCacheWith(p Policy) *PlanCache {
 	if p.Capacity <= 0 {
 		p.Capacity = 128
 	}
-	return &PlanCache{
-		policy: p,
-		ll:     list.New(),
-		items:  make(map[string]*list.Element, p.Capacity),
-	}
-}
-
-func (c *PlanCache) clock() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
-}
-
-// expired reports whether the entry's age exceeds the TTL.
-func (c *PlanCache) expired(e *cacheEntry, now time.Time) bool {
-	return c.policy.TTL > 0 && now.Sub(e.added) > c.policy.TTL
-}
-
-// removeLocked drops an element and charges the eviction to cause.
-func (c *PlanCache) removeLocked(el *list.Element, cause *uint64) {
-	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, e.key)
-	c.bytes -= e.bytes
-	if cause != nil {
-		*cause++
-	}
+	c := &PlanCache{policy: p}
+	evicted := [...]*uint64{bounded.Entries: &c.evictLRU, bounded.Bytes: &c.evictBytes, bounded.TTL: &c.evictTTL}
+	c.lru = bounded.NewLRU[string, *cacheEntry](p.Capacity, p.MaxBytes, p.TTL, func(cause bounded.Cause) {
+		*evicted[cause]++
+	})
+	return c
 }
 
 // Get returns a private copy of the cached result for an exact key,
@@ -239,23 +211,15 @@ func (c *PlanCache) Get(key string) (*Result, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.kind != exactEntry || c.expired(e, c.clock()) {
-		if c.expired(e, c.clock()) {
-			c.removeLocked(el, &c.evictTTL)
-		}
+	it := c.lru.Get(key)
+	if it == nil || it.Value.kind != exactEntry {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	e.hits++
-	c.ll.MoveToFront(el)
-	return copyResult(e.res), true
+	it.Value.hits++
+	c.lru.Touch(it)
+	return copyResult(it.Value.res), true
 }
 
 // Put stores a private copy of the result under an exact key,
@@ -271,14 +235,20 @@ func (c *PlanCache) put(key string, res *Result, epochs map[string]uint64) {
 	if c == nil || res == nil {
 		return
 	}
-	c.insert(&cacheEntry{
-		key:      key,
+	e := &cacheEntry{
 		kind:     exactEntry,
 		res:      copyResult(res),
 		baseCost: res.Cost,
 		feasible: res.Feasible,
 		epochs:   epochs,
-	})
+	}
+	size := entrySize(key, e)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.lru.Peek(key); old != nil {
+		e.hits = old.Value.hits
+	}
+	c.lru.Put(key, e, size)
 }
 
 // upsertClass merges one binding class's slot into the template
@@ -289,10 +259,9 @@ func (c *PlanCache) put(key string, res *Result, epochs map[string]uint64) {
 func (c *PlanCache) upsertClass(key, class string, slot *classSlot, epochs map[string]uint64, dists map[string]string, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
+	if it := c.lru.Peek(key); it != nil {
+		e := it.Value
 		if e.kind == templateEntry {
-			old := e.bytes
 			e.classes[class] = slot
 			e.lastClass = class
 			if epochs != nil {
@@ -305,18 +274,14 @@ func (c *PlanCache) upsertClass(key, class string, slot *classSlot, epochs map[s
 			// current statistics; a stale import poisons the entry the
 			// way whole-entry imports always did.
 			e.stale = stale
-			e.bytes = entrySize(e)
-			c.bytes += e.bytes - old
-			c.ll.MoveToFront(el)
-			c.enforceLocked()
+			c.lru.Touch(it)
+			c.lru.Resize(it, entrySize(key, e))
 			return
 		}
 		// Template keys carry the "tpl|" prefix, so an exact entry under
-		// the same key cannot occur; replace defensively if it somehow did.
-		c.removeLocked(el, nil)
+		// the same key cannot occur; replace it if it somehow did.
 	}
 	e := &cacheEntry{
-		key:       key,
 		kind:      templateEntry,
 		classes:   map[string]*classSlot{class: slot},
 		lastClass: class,
@@ -324,42 +289,7 @@ func (c *PlanCache) upsertClass(key, class string, slot *classSlot, epochs map[s
 		dists:     dists,
 		stale:     stale,
 	}
-	e.bytes = entrySize(e)
-	e.added = c.clock()
-	c.items[key] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	c.enforceLocked()
-}
-
-// insert adds or replaces an entry and enforces the eviction
-// policies.
-func (c *PlanCache) insert(e *cacheEntry) {
-	e.bytes = entrySize(e)
-	e.added = c.clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[e.key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.bytes += e.bytes - old.bytes
-		e.hits = old.hits
-		el.Value = e
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[e.key] = c.ll.PushFront(e)
-		c.bytes += e.bytes
-	}
-	c.enforceLocked()
-}
-
-// enforceLocked evicts from the LRU tail until the entry and byte
-// budgets hold.
-func (c *PlanCache) enforceLocked() {
-	for c.ll.Len() > c.policy.Capacity {
-		c.removeLocked(c.ll.Back(), &c.evictLRU)
-	}
-	for c.policy.MaxBytes > 0 && c.bytes > c.policy.MaxBytes && c.ll.Len() > 1 {
-		c.removeLocked(c.ll.Back(), &c.evictBytes)
-	}
+	c.lru.Put(key, e, entrySize(key, e))
 }
 
 // templateView is a snapshot of one binding class of a template
@@ -396,18 +326,11 @@ func (c *PlanCache) lookupTemplate(key, class string) (templateView, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	it := c.lru.Get(key)
+	if it == nil || it.Value.kind != templateEntry || len(it.Value.classes) == 0 {
 		return templateView{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.kind != templateEntry || len(e.classes) == 0 {
-		return templateView{}, false
-	}
-	if c.expired(e, c.clock()) {
-		c.removeLocked(el, &c.evictTTL)
-		return templateView{}, false
-	}
+	e := it.Value
 	from, borrowed := class, false
 	slot, ok := e.classes[class]
 	if !ok {
@@ -459,14 +382,11 @@ func (c *PlanCache) noteTemplateServed(key, class string, tv templateView, cost 
 	if tv.borrowed {
 		c.borrowedServes++
 	}
-	el, ok := c.items[key]
-	if !ok {
+	it := c.lru.Peek(key)
+	if it == nil || it.Value.kind != templateEntry {
 		return
 	}
-	e := el.Value.(*cacheEntry)
-	if e.kind != templateEntry {
-		return
-	}
+	e := it.Value
 	e.stale = false
 	if epochs != nil {
 		e.epochs = epochs
@@ -474,9 +394,11 @@ func (c *PlanCache) noteTemplateServed(key, class string, tv templateView, cost 
 	if dists != nil {
 		e.dists = dists
 	}
+	e.lastClass = class
+	e.hits++
+	c.lru.Touch(it)
 	if tv.borrowed {
 		if lender, ok := e.classes[tv.class]; ok {
-			old := e.bytes
 			e.classes[class] = &classSlot{
 				asn:      lender.asn,
 				topo:     lender.topo.Clone(),
@@ -485,16 +407,11 @@ func (c *PlanCache) noteTemplateServed(key, class string, tv templateView, cost 
 				stats:    lender.stats,
 				hits:     1,
 			}
-			e.bytes = entrySize(e)
-			c.bytes += e.bytes - old
+			c.lru.Resize(it, entrySize(key, e))
 		}
 	} else if slot, ok := e.classes[class]; ok {
 		slot.hits++
 	}
-	e.lastClass = class
-	e.hits++
-	c.ll.MoveToFront(el)
-	c.enforceLocked()
 }
 
 // noteDivergence reacts to a template hit whose re-estimated cost
@@ -515,29 +432,27 @@ func (c *PlanCache) noteDivergence(key, class string, borrowed bool) {
 	if borrowed {
 		return
 	}
-	el, ok := c.items[key]
-	if !ok {
+	it := c.lru.Peek(key)
+	if it == nil {
 		return
 	}
-	e := el.Value.(*cacheEntry)
+	e := it.Value
 	if e.kind != templateEntry {
-		c.removeLocked(el, nil)
+		c.lru.Remove(it)
 		return
 	}
 	if _, ok := e.classes[class]; !ok {
 		return
 	}
-	old := e.bytes
 	delete(e.classes, class)
 	if e.lastClass == class {
 		e.lastClass = ""
 	}
 	if len(e.classes) == 0 {
-		c.removeLocked(el, nil)
+		c.lru.Remove(it)
 		return
 	}
-	e.bytes = entrySize(e)
-	c.bytes += e.bytes - old
+	c.lru.Resize(it, entrySize(key, e))
 }
 
 // noteSearch counts one full branch-and-bound search run on behalf
@@ -565,19 +480,19 @@ func (c *PlanCache) InvalidateService(name string, epoch uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
+	c.lru.Each(func(it *bounded.Item[string, *cacheEntry]) bool {
+		e := it.Value
 		if old, ok := e.epochs[name]; ok && old != epoch {
 			if e.kind == templateEntry {
 				e.stale = true
 				e.epochs[name] = epoch
 			} else {
-				c.removeLocked(el, &c.evictEpoch)
+				c.lru.Remove(it)
+				c.evictEpoch++
 			}
 		}
-		el = next
-	}
+		return true
+	})
 }
 
 // Len returns the number of cached results.
@@ -587,7 +502,7 @@ func (c *PlanCache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.lru.Len()
 }
 
 // Purge drops every entry (counters are preserved).
@@ -597,9 +512,7 @@ func (c *PlanCache) Purge() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.policy.Capacity)
-	c.bytes = 0
+	c.lru.Clear()
 }
 
 // CacheStats reports cache effectiveness and churn. It is a plain
@@ -646,9 +559,10 @@ func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	classes := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		classes += len(el.Value.(*cacheEntry).classes)
-	}
+	c.lru.Each(func(it *bounded.Item[string, *cacheEntry]) bool {
+		classes += len(it.Value.classes)
+		return true
+	})
 	return CacheStats{
 		Hits:           c.hits,
 		Misses:         c.misses,
@@ -662,9 +576,9 @@ func (c *PlanCache) Stats() CacheStats {
 		EvictedTTL:     c.evictTTL,
 		EvictedBytes:   c.evictBytes,
 		EvictedEpoch:   c.evictEpoch,
-		Size:           c.ll.Len(),
+		Size:           c.lru.Len(),
 		Cap:            c.policy.Capacity,
-		Bytes:          c.bytes,
+		Bytes:          c.lru.Bytes(),
 		MaxBytes:       c.policy.MaxBytes,
 	}
 }
@@ -693,10 +607,10 @@ func (c *PlanCache) Entries() []EntryInfo {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.clock()
-	out := make([]EntryInfo, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
+	now := c.lru.Clock()
+	out := make([]EntryInfo, 0, c.lru.Len())
+	c.lru.Each(func(it *bounded.Item[string, *cacheEntry]) bool {
+		e := it.Value
 		var epochs map[string]uint64
 		if len(e.epochs) > 0 {
 			epochs = make(map[string]uint64, len(e.epochs))
@@ -705,15 +619,15 @@ func (c *PlanCache) Entries() []EntryInfo {
 			}
 		}
 		info := EntryInfo{
-			Key:        e.key,
+			Key:        it.Key,
 			Kind:       e.kind.String(),
 			Cost:       e.baseCost,
 			Feasible:   e.feasible,
 			Epochs:     epochs,
 			Stale:      e.stale,
 			Hits:       e.hits,
-			Bytes:      e.bytes,
-			AgeSeconds: now.Sub(e.added).Seconds(),
+			Bytes:      it.Size,
+			AgeSeconds: now.Sub(it.Added).Seconds(),
 		}
 		if len(e.classes) > 0 {
 			info.Classes = make(map[string]float64, len(e.classes))
@@ -727,7 +641,8 @@ func (c *PlanCache) Entries() []EntryInfo {
 			}
 		}
 		out = append(out, info)
-	}
+		return true
+	})
 	return out
 }
 
@@ -735,12 +650,12 @@ func (c *PlanCache) Entries() []EntryInfo {
 // plan graphs (nodes dominate) and the fixed bookkeeping. It feeds
 // the MaxBytes budget; precision matters less than monotonicity in
 // plan size.
-func entrySize(e *cacheEntry) int64 {
+func entrySize(key string, e *cacheEntry) int64 {
 	const (
 		entryOverhead = 256
 		nodeSize      = 192
 	)
-	size := int64(entryOverhead + len(e.key))
+	size := int64(entryOverhead + len(key))
 	planSize := func(p *plan.Plan) int64 {
 		if p == nil {
 			return 0

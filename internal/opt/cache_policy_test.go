@@ -17,7 +17,7 @@ func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 func TestPlanCacheTTLEviction(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	c := NewPlanCacheWith(Policy{Capacity: 8, TTL: time.Minute})
-	c.now = clk.now
+	c.lru.Clock = clk.now
 	c.Put("a", &Result{Cost: 1})
 	clk.advance(30 * time.Second)
 	if _, ok := c.Get("a"); !ok {

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"mdq/internal/abind"
+	"mdq/internal/bounded"
 	"mdq/internal/plan"
 	"mdq/internal/schema"
 )
@@ -80,10 +81,10 @@ func (c *PlanCache) ExportTemplates() []TemplateWireEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []TemplateWireEntry
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
+	c.lru.Each(func(it *bounded.Item[string, *cacheEntry]) bool {
+		e := it.Value
 		if e.kind != templateEntry {
-			continue
+			return true
 		}
 		classes := make([]string, 0, len(e.classes))
 		for cls := range e.classes {
@@ -96,7 +97,7 @@ func (c *PlanCache) ExportTemplates() []TemplateWireEntry {
 				continue
 			}
 			w := TemplateWireEntry{
-				Key:      e.key,
+				Key:      it.Key,
 				Class:    cls,
 				Topology: s.topo.Clone(),
 				BaseCost: s.baseCost,
@@ -110,7 +111,8 @@ func (c *PlanCache) ExportTemplates() []TemplateWireEntry {
 			}
 			out = append(out, w)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -122,13 +124,16 @@ func (c *PlanCache) ExportTemplates() []TemplateWireEntry {
 // enters stale, so the existing revalidation machinery re-costs it
 // against local statistics before it is ever served
 // (Optimizer.OptimizeTemplate reports such serves as Revalidated).
+// Entries are taken to be most recently used first, as
+// ExportTemplates writes them, and are installed oldest first, so the
+// importer's recency order matches the exporter's.
 func (c *PlanCache) ImportTemplates(entries []TemplateWireEntry, src FingerprintSource) int {
 	if c == nil {
 		return 0
 	}
 	n := 0
-	for _, w := range entries {
-		if c.installTemplate(w, !fingerprintsAgree(w.Dists, src)) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		if c.installTemplate(entries[i], !fingerprintsAgree(entries[i].Dists, src)) {
 			n++
 		}
 	}

@@ -259,7 +259,8 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.N < 0 || len(w.Bits) != w.N*w.N {
+	// Divide before multiplying: a hostile n can overflow n*n.
+	if w.N < 0 || w.N > 0 && len(w.Bits)/w.N != w.N || len(w.Bits) != w.N*w.N {
 		return fmt.Errorf("plan: topology wire format has %d bits for n=%d", len(w.Bits), w.N)
 	}
 	less := make([]bool, len(w.Bits))

@@ -34,11 +34,12 @@ func TestTopologyJSONRoundTrip(t *testing.T) {
 // malformed relations must not decode.
 func TestTopologyJSONRejectsInvalid(t *testing.T) {
 	for _, bad := range []string{
-		`{"n":2,"bits":"011"}`,  // wrong length
-		`{"n":2,"bits":"0ab0"}`, // bad characters
-		`{"n":2,"bits":"0110"}`, // 0<1 and 1<0: a cycle
-		`{"n":1,"bits":"1"}`,    // reflexive
-		`{"n":-1,"bits":""}`,    // negative size
+		`{"n":2,"bits":"011"}`,       // wrong length
+		`{"n":2,"bits":"0ab0"}`,      // bad characters
+		`{"n":2,"bits":"0110"}`,      // 0<1 and 1<0: a cycle
+		`{"n":1,"bits":"1"}`,         // reflexive
+		`{"n":-1,"bits":""}`,         // negative size
+		`{"n":4294967296,"bits":""}`, // n*n overflows to 0
 	} {
 		var topo Topology
 		if err := json.Unmarshal([]byte(bad), &topo); err == nil {

@@ -17,10 +17,10 @@
 package rescache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
+	"mdq/internal/bounded"
 	"mdq/internal/exec"
 	"mdq/internal/schema"
 	"mdq/internal/serve"
@@ -93,12 +93,9 @@ type Stats struct {
 }
 
 type item struct {
-	key     string // service + "\x00" + input key
 	service string
 	entry   exec.Entry
 	epoch   uint64
-	bytes   int64
-	added   time.Time
 }
 
 // Store is the shared result cache. It implements exec.Cache, so it
@@ -110,23 +107,20 @@ type item struct {
 // (beware that a nil *Store stored in an exec.Cache interface is not
 // ==nil at the interface level).
 type Store struct {
-	// Observer, when non-nil, is invoked (outside the store lock)
-	// after every classified transition with the post-transition
-	// entry/byte occupancy — the hook the binaries use to keep
-	// /metrics counters and gauges live. It must be set before the
-	// store is shared between goroutines.
+	// Observer, when non-nil, is invoked under the store lock after
+	// every classified transition with the post-transition entry/byte
+	// occupancy — the hook the binaries use to keep /metrics counters
+	// and gauges live. It must not call back into the store, and it
+	// must be set before the store is shared between goroutines.
 	Observer func(ev Event, entries int, bytes int64)
 
 	mu      sync.Mutex
 	cfg     Config
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	bytes   int64
+	lru     *bounded.LRU[string, *item] // keyed service + "\x00" + input key
 	hits    uint64
 	misses  uint64
 	evicts  uint64
 	invalid uint64
-	now     func() time.Time
 }
 
 // New builds a Store with the config's bounds (zero fields take the
@@ -138,12 +132,16 @@ func New(cfg Config) *Store {
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	return &Store{
-		cfg:   cfg,
-		ll:    list.New(),
-		items: map[string]*list.Element{},
-		now:   time.Now,
-	}
+	s := &Store{cfg: cfg}
+	s.lru = bounded.NewLRU[string, *item](cfg.MaxEntries, cfg.MaxBytes, cfg.TTL, func(cause bounded.Cause) {
+		s.evicts++
+		if cause == bounded.TTL {
+			s.notifyLocked(EvictTTL)
+		} else {
+			s.notifyLocked(EvictLRU)
+		}
+	})
+	return s
 }
 
 // Bind points epoch validation at reg and subscribes the store to its
@@ -167,36 +165,26 @@ func (s *Store) Get(svc, key string) (exec.Entry, bool) {
 	if s == nil {
 		return exec.Entry{}, false
 	}
+	k := svc + "\x00" + key
 	s.mu.Lock()
-	el, ok := s.items[svc+"\x00"+key]
-	if !ok {
-		s.misses++
-		s.notifyLocked(Miss)
-		s.mu.Unlock()
-		return exec.Entry{}, false
-	}
-	it := el.Value.(*item)
-	if s.cfg.Epochs != nil && it.epoch != s.cfg.Epochs.Epoch(svc) {
-		s.removeLocked(el)
+	it := s.lru.Peek(k)
+	if it != nil && s.cfg.Epochs != nil && it.Value.epoch != s.cfg.Epochs.Epoch(svc) {
+		s.lru.Remove(it)
 		s.invalid++
 		s.notifyLocked(Invalidate)
+		it = nil
+	} else if it != nil {
+		it = s.lru.Get(k) // nil past the TTL
+	}
+	if it == nil {
 		s.misses++
 		s.notifyLocked(Miss)
 		s.mu.Unlock()
 		return exec.Entry{}, false
 	}
-	if s.cfg.TTL > 0 && s.now().Sub(it.added) > s.cfg.TTL {
-		s.removeLocked(el)
-		s.evicts++
-		s.notifyLocked(EvictTTL)
-		s.misses++
-		s.notifyLocked(Miss)
-		s.mu.Unlock()
-		return exec.Entry{}, false
-	}
-	s.ll.MoveToFront(el)
+	s.lru.Touch(it)
 	s.hits++
-	entry := it.entry
+	entry := it.Value.entry
 	s.notifyLocked(Hit)
 	s.mu.Unlock()
 	// Clone the outer row slice at exact capacity: an invoker that
@@ -225,18 +213,7 @@ func (s *Store) Put(svc, key string, e exec.Entry) {
 	if s.cfg.Epochs != nil {
 		epoch = s.cfg.Epochs.Epoch(svc)
 	}
-	k := svc + "\x00" + key
-	if el, ok := s.items[k]; ok {
-		s.removeLocked(el)
-	}
-	it := &item{key: k, service: svc, entry: e, epoch: epoch, bytes: size, added: s.now()}
-	s.items[k] = s.ll.PushFront(it)
-	s.bytes += size
-	for s.overLocked() && s.ll.Len() > 1 {
-		s.removeLocked(s.ll.Back())
-		s.evicts++
-		s.notifyLocked(EvictLRU)
-	}
+	s.lru.Put(svc+"\x00"+key, &item{service: svc, entry: e, epoch: epoch}, size)
 	s.mu.Unlock()
 }
 
@@ -260,16 +237,14 @@ func (s *Store) DropService(svc string) {
 
 func (s *Store) dropService(svc string, epoch *uint64) {
 	s.mu.Lock()
-	var next *list.Element
-	for el := s.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		it := el.Value.(*item)
-		if it.service == svc && (epoch == nil || it.epoch != *epoch) {
-			s.removeLocked(el)
+	s.lru.Each(func(it *bounded.Item[string, *item]) bool {
+		if it.Value.service == svc && (epoch == nil || it.Value.epoch != *epoch) {
+			s.lru.Remove(it)
 			s.invalid++
 			s.notifyLocked(Invalidate)
 		}
-	}
+		return true
+	})
 	s.mu.Unlock()
 }
 
@@ -282,8 +257,8 @@ func (s *Store) Stats() Stats {
 		Misses:        s.misses,
 		Evictions:     s.evicts,
 		Invalidations: s.invalid,
-		Entries:       s.ll.Len(),
-		Bytes:         s.bytes,
+		Entries:       s.lru.Len(),
+		Bytes:         s.lru.Bytes(),
 	}
 }
 
@@ -291,27 +266,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-func (s *Store) overLocked() bool {
-	if s.ll.Len() == 0 {
-		return false
-	}
-	if s.cfg.MaxEntries > 0 && s.ll.Len() > s.cfg.MaxEntries {
-		return true
-	}
-	if s.cfg.MaxBytes > 0 && s.bytes > s.cfg.MaxBytes {
-		return true
-	}
-	return false
-}
-
-func (s *Store) removeLocked(el *list.Element) {
-	it := el.Value.(*item)
-	s.ll.Remove(el)
-	delete(s.items, it.key)
-	s.bytes -= it.bytes
+	return s.lru.Len()
 }
 
 // notifyLocked invokes the Observer synchronously, under the store
@@ -321,7 +276,7 @@ func (s *Store) removeLocked(el *list.Element) {
 // shape of the hook.
 func (s *Store) notifyLocked(ev Event) {
 	if s.Observer != nil {
-		s.Observer(ev, s.ll.Len(), s.bytes)
+		s.Observer(ev, s.lru.Len(), s.lru.Bytes())
 	}
 }
 
@@ -330,13 +285,22 @@ func (s *Store) notifyLocked(ev Event) {
 // mdq_result_cache_events_total{event=...} and refreshes the
 // mdq_result_cache_entries / mdq_result_cache_bytes gauges. Both
 // binaries wire their stores through this.
+//
+// The counters and gauges are resolved once, here, so an event —
+// reported under the store lock — costs no registry lookup.
 func MetricsObserver(m *serve.Metrics) func(ev Event, entries int, bytes int64) {
-	return func(ev Event, entries int, bytes int64) {
-		m.CounterL("mdq_result_cache_events_total",
+	events := map[Event]*serve.Counter{}
+	for _, ev := range []Event{Hit, Miss, EvictLRU, EvictTTL, Invalidate} {
+		events[ev] = m.CounterL("mdq_result_cache_events_total",
 			"Result cache transitions by kind (hit, miss, evict_lru, evict_ttl, invalidate).",
-			"event", string(ev)).Inc()
-		m.Gauge("mdq_result_cache_entries", "Cached service invocations resident in the result cache.").Set(float64(entries))
-		m.Gauge("mdq_result_cache_bytes", "Approximate bytes of rows resident in the result cache.").Set(float64(bytes))
+			"event", string(ev))
+	}
+	entriesGauge := m.Gauge("mdq_result_cache_entries", "Cached service invocations resident in the result cache.")
+	bytesGauge := m.Gauge("mdq_result_cache_bytes", "Approximate bytes of rows resident in the result cache.")
+	return func(ev Event, entries int, bytes int64) {
+		events[ev].Inc()
+		entriesGauge.Set(float64(entries))
+		bytesGauge.Set(float64(bytes))
 	}
 }
 

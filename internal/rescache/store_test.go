@@ -112,12 +112,12 @@ func TestStoreByteBound(t *testing.T) {
 func TestStoreTTL(t *testing.T) {
 	s := New(Config{TTL: time.Minute})
 	base := time.Unix(1000, 0)
-	s.now = func() time.Time { return base }
+	s.lru.Clock = func() time.Time { return base }
 	s.Put("svc", "k", entry(1, "a"))
 	if _, ok := s.Get("svc", "k"); !ok {
 		t.Fatal("expected hit within TTL")
 	}
-	s.now = func() time.Time { return base.Add(2 * time.Minute) }
+	s.lru.Clock = func() time.Time { return base.Add(2 * time.Minute) }
 	if _, ok := s.Get("svc", "k"); ok {
 		t.Fatal("entry served past TTL")
 	}

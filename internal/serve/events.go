@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"mdq/internal/bounded"
 )
 
 // Event is one entry of the structured audit stream: a slow query, a
@@ -45,9 +47,7 @@ type EventBus struct {
 	OnDrop func(n int)
 
 	mu      sync.Mutex
-	ring    []Event
-	next    int
-	count   int
+	ring    *bounded.Ring[Event]
 	seq     uint64
 	dropped uint64
 }
@@ -58,7 +58,7 @@ func NewEventBus(cap int) *EventBus {
 	if cap <= 0 {
 		cap = 256
 	}
-	return &EventBus{ring: make([]Event, cap)}
+	return &EventBus{ring: bounded.NewRing[Event](cap)}
 }
 
 // Publish appends an event with the given type and payload fields.
@@ -81,18 +81,13 @@ func (b *EventBus) publish(e Event) {
 	b.seq++
 	e.Seq = b.seq
 	e.Time = time.Now()
-	if b.count == len(b.ring) {
-		// Overwriting the oldest buffered event: it is gone before any
+	if b.ring.Push(e) {
+		// Overwrote the oldest buffered event: it is gone before any
 		// future consumer can read it.
 		b.dropped++
 		if b.OnDrop != nil {
 			b.OnDrop(1)
 		}
-	}
-	b.ring[b.next] = e
-	b.next = (b.next + 1) % len(b.ring)
-	if b.count < len(b.ring) {
-		b.count++
 	}
 	b.mu.Unlock()
 }
@@ -115,9 +110,8 @@ func (b *EventBus) Snapshot(after uint64) []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Event, 0, b.count)
-	for i := 0; i < b.count; i++ {
-		e := b.ring[(b.next-b.count+i+len(b.ring))%len(b.ring)]
+	out := make([]Event, 0, b.ring.Len())
+	for _, e := range b.ring.OldestFirst() {
 		if e.Seq > after {
 			out = append(out, e)
 		}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"mdq/internal/bounded"
 )
 
 // RequestRecord is one request's accounting entry: what ran, how long
@@ -58,10 +60,8 @@ type SlowLog struct {
 	// 0 logs every request.
 	Threshold time.Duration
 
-	mu    sync.Mutex
-	ring  []RequestRecord
-	next  int
-	count int
+	mu   sync.Mutex
+	ring *bounded.Ring[RequestRecord]
 }
 
 // NewSlowLog builds a log keeping the last cap qualifying records
@@ -70,7 +70,7 @@ func NewSlowLog(cap int, threshold time.Duration) *SlowLog {
 	if cap <= 0 {
 		cap = 128
 	}
-	return &SlowLog{Threshold: threshold, ring: make([]RequestRecord, cap)}
+	return &SlowLog{Threshold: threshold, ring: bounded.NewRing[RequestRecord](cap)}
 }
 
 // Record offers one request record to the log; records faster than
@@ -80,11 +80,7 @@ func (l *SlowLog) Record(r RequestRecord) {
 		return
 	}
 	l.mu.Lock()
-	l.ring[l.next] = r
-	l.next = (l.next + 1) % len(l.ring)
-	if l.count < len(l.ring) {
-		l.count++
-	}
+	l.ring.Push(r)
 	l.mu.Unlock()
 }
 
@@ -92,18 +88,14 @@ func (l *SlowLog) Record(r RequestRecord) {
 func (l *SlowLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.count
+	return l.ring.Len()
 }
 
 // Snapshot returns the held records newest-first.
 func (l *SlowLog) Snapshot() []RequestRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]RequestRecord, 0, l.count)
-	for i := 1; i <= l.count; i++ {
-		out = append(out, l.ring[(l.next-i+len(l.ring))%len(l.ring)])
-	}
-	return out
+	return l.ring.NewestFirst()
 }
 
 // Handler serves GET /slowlog as a JSON array, newest first.

@@ -196,7 +196,7 @@ func (e *Engine) startFleet(healthInterval time.Duration) (stop func()) {
 	fleet := e.coordinator(Knobs{})
 	stopGossip := fleet.GossipLoop(func(err error) { log.Printf("gossip: %v", err) })
 	if e.Cache != nil {
-		if n, err := fleet.WarmWorkers(context.Background(), e.Cache); err != nil {
+		if n, err := fleet.WarmWorkers(context.Background(), e.Cache.ExportTemplates()); err != nil {
 			log.Printf("warming workers: %v", err)
 		} else if n > 0 {
 			fmt.Printf("warmed workers with %d template entries\n", n)

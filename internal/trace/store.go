@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mdq/internal/bounded"
 )
 
 // TreeNode is one span rendered into nested tree form — the
@@ -80,10 +82,8 @@ type Summary struct {
 // memory: the newest Cap traces win, recording is O(1) under one
 // short lock, and the serving path never blocks on it.
 type Store struct {
-	mu    sync.Mutex
-	ring  []Dump
-	next  int
-	count int
+	mu   sync.Mutex
+	ring *bounded.Ring[Dump]
 }
 
 // NewStore builds a store keeping the last cap traces (cap ≤ 0 means
@@ -92,7 +92,7 @@ func NewStore(cap int) *Store {
 	if cap <= 0 {
 		cap = 64
 	}
-	return &Store{ring: make([]Dump, cap)}
+	return &Store{ring: bounded.NewRing[Dump](cap)}
 }
 
 // Add records a finished trace, evicting the oldest past capacity.
@@ -102,11 +102,7 @@ func (st *Store) Add(d Dump) {
 		return
 	}
 	st.mu.Lock()
-	st.ring[st.next] = d
-	st.next = (st.next + 1) % len(st.ring)
-	if st.count < len(st.ring) {
-		st.count++
-	}
+	st.ring.Push(d)
 	st.mu.Unlock()
 }
 
@@ -117,8 +113,7 @@ func (st *Store) Get(id string) (Dump, bool) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i := 1; i <= st.count; i++ {
-		d := st.ring[(st.next-i+len(st.ring))%len(st.ring)]
+	for _, d := range st.ring.NewestFirst() {
 		if d.TraceID == id {
 			return d, true
 		}
@@ -133,9 +128,9 @@ func (st *Store) Snapshot() []Summary {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Summary, 0, st.count)
-	for i := 1; i <= st.count; i++ {
-		d := st.ring[(st.next-i+len(st.ring))%len(st.ring)]
+	dumps := st.ring.NewestFirst()
+	out := make([]Summary, 0, len(dumps))
+	for _, d := range dumps {
 		s := Summary{TraceID: d.TraceID, Time: d.Time, Spans: countNodes(d.Spans)}
 		if len(d.Spans) > 0 {
 			s.Name = d.Spans[0].Name
