@@ -84,10 +84,13 @@ share-smoke:
 # reporting worker feedback upstream). The traced variant re-runs the
 # query with "trace": true and asserts the worker spans — shipped
 # across the wire — nest under the coordinator's dispatch spans with
-# estimate-vs-actual populated on every plan node. Runs fine on a
-# single-CPU dev box; the gate is correctness, not wall-clock.
+# estimate-vs-actual populated on every plan node. The flag inventory
+# then matches each binary's -h against its docs/OPERATIONS.md table
+# and runs the mdqrun -explain commands README.md and ARCHITECTURE.md
+# quote. Runs fine on a single-CPU dev box; the gate is correctness,
+# not wall-clock.
 e2e-smoke:
-	$(GO) test -tags e2e -count=1 -v -run 'TestMultiProcessFragmentExecution|TestTracedFleetQuery' ./e2e
+	$(GO) test -tags e2e -count=1 -v -run 'TestMultiProcessFragmentExecution|TestTracedFleetQuery|TestFlagInventoryAndExplain' ./e2e
 
 # Chaos smoke: SIGKILL a real mdqworker process while queries are in
 # flight against a real coordinator. Every query — before, during and

@@ -8,6 +8,15 @@
 //	       [-metric etm] [-cache one-call] [-k 10] [-sim] [-query "..."]
 //	       [-template "... $param ..." -bind "param=value,..."]
 //	       [-feedback] [-buffer 128] [-trace] [-rescache 4096]
+//	       [-explain [-dot] [-v] [-repeat N]]
+//
+// With -explain nothing executes: each query is optimized through a
+// plan cache and the report shows the plan (ASCII, or Graphviz DOT
+// with -dot), its cost next to the uniform-model cost, feasibility and
+// estimated answers, the search statistics, every optimization's cache
+// outcome (-repeat N optimizes N times) and, with -v, the alternative
+// plans; the plan cache's counters close the run. With a template,
+// several binding sets show one search serving all of them.
 //
 // -bind accepts several binding sets separated by ';' — the template
 // is optimized (through a template cache, one search skeleton serving
@@ -39,6 +48,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"mdq/internal/card"
 	"mdq/internal/cost"
@@ -72,8 +82,18 @@ func main() {
 		buffer    = flag.Int("buffer", exec.DefaultBufferSize, "streaming executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
 		doTrace   = flag.Bool("trace", false, "record a span trace of optimization and execution and print the explain-style tree")
 		rescacheN = flag.Int("rescache", rescache.DefaultMaxEntries, "shared result cache entries across ';'-separated binding sets (0 disables)")
+		explain   = flag.Bool("explain", false, "optimize only: print the plan, its cost, search statistics and cache outcomes, execute nothing")
+		dot       = flag.Bool("dot", false, "with -explain, print the plan in Graphviz DOT instead of ASCII")
+		verbose   = flag.Bool("v", false, "with -explain, also list alternative plans")
+		repeat    = flag.Int("repeat", 1, "with -explain, optimize each query N times through the plan cache")
 	)
 	flag.Parse()
+	if !*explain && (*dot || *verbose || *repeat != 1) {
+		log.Fatal("-dot, -v and -repeat need -explain")
+	}
+	if *repeat < 1 {
+		log.Fatal("-repeat must be at least 1")
+	}
 	ctx := context.Background()
 
 	var (
@@ -158,14 +178,18 @@ func main() {
 	sharing := len(queries) > 1
 	eng := &server.Engine{Registry: reg, Parallelism: *parallel, BufferSize: *buffer}
 	var store *rescache.Store
-	if sharing {
+	if sharing || *explain {
 		eng.Cache = opt.NewPlanCacheWith(opt.Policy{Capacity: 64})
 		reg.SubscribeEpochs(eng.Cache, eng.Cache.InvalidateService)
-		if *rescacheN != 0 {
-			store = rescache.New(rescache.Config{MaxEntries: *rescacheN})
-			store.Bind(reg)
-			eng.ResultCache = store
-		}
+	}
+	if sharing && !*explain && *rescacheN != 0 {
+		store = rescache.New(rescache.Config{MaxEntries: *rescacheN})
+		store.Bind(reg)
+		eng.ResultCache = store
+	}
+	knobs := server.Knobs{Metric: m, Estimator: card.Config{Mode: mode}, K: *k}
+	if *verbose {
+		knobs.Alternatives = 10
 	}
 	if *feedback {
 		eng.Feedback = &service.FeedbackPolicy{}
@@ -179,13 +203,20 @@ func main() {
 			fmt.Printf("== bindings: %s\n", bq.label)
 		}
 		runQuery(ctx, eng, sch, bq.q, runConfig{
-			knobs:  server.Knobs{Metric: m, Estimator: card.Config{Mode: mode}, K: *k},
-			useSim: *useSim, expand: *expand, doTrace: *doTrace, template: sharing,
+			knobs:  knobs,
+			useSim: *useSim, expand: *expand, doTrace: *doTrace,
+			template: sharing || *explain && *tplText != "",
+			explain:  *explain, dot: *dot, repeat: *repeat,
 		})
 	}
 	if store != nil {
 		st := store.Stats()
 		fmt.Printf("\nresult cache: hits=%d misses=%d entries=%d\n", st.Hits, st.Misses, st.Entries)
+	}
+	if *explain {
+		cs := eng.Cache.Stats()
+		fmt.Printf("\nplan cache: %d searches for %d bindings (%d hits, %d misses, %d template hits, %d revalidations, %d divergences, %d borrowed serves, %d binding classes)\n",
+			cs.Searches, len(queries), cs.Hits, cs.Misses, cs.TemplateHits, cs.Revalidations, cs.Divergences, cs.BorrowedServes, cs.Classes)
 	}
 }
 
@@ -196,12 +227,15 @@ type runConfig struct {
 	expand   bool
 	doTrace  bool
 	template bool
+	explain  bool
+	dot      bool
+	repeat   int
 }
 
-// runQuery optimizes and executes one bound query and prints its
-// answers, call accounting and optional trace.
+// runQuery optimizes one bound query and, unless explaining, executes
+// it and prints its answers, call accounting and optional trace.
 func runQuery(ctx context.Context, eng *server.Engine, sch *schema.Schema, q *cq.Query, cfg runConfig) {
-	reg, kn := eng.Registry, cfg.knobs
+	kn := cfg.knobs
 	if err := q.Resolve(sch); err != nil {
 		log.Fatal(err)
 	}
@@ -227,9 +261,16 @@ func runQuery(ctx context.Context, eng *server.Engine, sch *schema.Schema, q *cq
 	if cfg.template {
 		optimize = eng.OptimizeTemplate
 	}
-	res, err := optimize(ctx, q, kn)
-	if err != nil {
-		log.Fatal(err)
+	var res *opt.Result
+	var outcomes []string
+	for i := 0; i < cfg.repeat; i++ {
+		start := time.Now()
+		r, err := optimize(ctx, q, kn)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res = r
+		outcomes = append(outcomes, fmt.Sprintf("%s [%v]", cacheOutcome(r), time.Since(start).Round(time.Microsecond)))
 	}
 	costLine := fmt.Sprintf("%s cost %.2f", kn.Metric.Name(), res.Cost)
 	// Show the uniform-model estimate when profiled value
@@ -239,8 +280,68 @@ func runQuery(ctx context.Context, eng *server.Engine, sch *schema.Schema, q *cq
 	if uni := kn.Metric.Cost(uniform); uni != res.Cost {
 		costLine += fmt.Sprintf(", uniform %.2f", uni)
 	}
+	if cfg.explain {
+		fmt.Printf("query: %s\n", q)
+	}
 	fmt.Printf("plan: %s   (%s)\n\n", res.Best.Describe(), costLine)
+	if cfg.explain {
+		explainResult(eng, res, cfg, outcomes)
+	} else {
+		execute(ctx, eng, q, res, cfg)
+	}
+	if cfg.doTrace {
+		rootSp.End()
+		fmt.Printf("\ntrace %s:\n", qtrace.ID())
+		trace.Render(os.Stdout, trace.Tree(qtrace.Spans()))
+	}
+}
 
+// cacheOutcome names how the plan cache served one optimization.
+func cacheOutcome(res *opt.Result) string {
+	how := "searched"
+	switch {
+	case res.TemplateHit && res.Revalidated:
+		how = "template hit (revalidated)"
+	case res.TemplateHit:
+		how = "template hit"
+	case res.Cached:
+		how = "exact hit"
+	}
+	if res.BindingClass != "" {
+		how += ", class " + res.BindingClass
+	}
+	return how
+}
+
+// explainResult prints what -explain reports beyond the query and plan
+// lines: the plan drawing, feasibility and estimated answers, the
+// search statistics, each optimization's cache outcome and any
+// alternatives.
+func explainResult(eng *server.Engine, res *opt.Result, cfg runConfig, outcomes []string) {
+	if cfg.dot {
+		fmt.Print(res.Best.DOT())
+	} else {
+		fmt.Print(res.Best.ASCII())
+	}
+	fmt.Printf("\nfeasible for k=%d: %v, estimated answers: %.1f\n", cfg.knobs.K, res.Feasible, res.Best.OutputNode().TOut)
+	st := res.Stats
+	fmt.Printf("search: %d/%d permissible assignments, %d states (%d pruned), %d plans costed, %d fetch vectors (parallel=%d)\n",
+		st.PermissibleAssignments, st.CandidateAssignments, st.StatesVisited, st.StatesPruned, st.Leaves, st.FetchVectors, eng.Parallelism)
+	for i, o := range outcomes {
+		fmt.Printf("optimization %d: %s\n", i+1, o)
+	}
+	if len(res.Alternatives) > 0 {
+		fmt.Println("alternatives:")
+		for i, alt := range res.Alternatives {
+			fmt.Printf("  %2d. %-60s %8.2f\n", i+1, alt.Plan.Describe(), alt.Cost)
+		}
+	}
+}
+
+// execute runs an optimized plan and prints its answers, call
+// accounting and feedback epochs.
+func execute(ctx context.Context, eng *server.Engine, q *cq.Query, res *opt.Result, cfg runConfig) {
+	reg, kn := eng.Registry, cfg.knobs
 	var (
 		rows  [][]string
 		calls map[string]int64
@@ -298,11 +399,6 @@ func runQuery(ctx context.Context, eng *server.Engine, sch *schema.Schema, q *cq
 			}
 			fmt.Println()
 		}
-	}
-	if cfg.doTrace {
-		rootSp.End()
-		fmt.Printf("\ntrace %s:\n", qtrace.ID())
-		trace.Render(os.Stdout, trace.Tree(qtrace.Spans()))
 	}
 }
 

@@ -110,124 +110,51 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"mdq/internal/dist"
-	"mdq/internal/exec"
-	"mdq/internal/httpwrap"
 	"mdq/internal/opt"
-	"mdq/internal/rescache"
 	"mdq/internal/server"
-	"mdq/internal/service"
 	"mdq/internal/simweb"
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		worldName  = flag.String("world", "travel", "built-in world: travel, bio, mashup or zipf")
-		scale      = flag.Float64("scale", 0, "sleep scale for simulated latencies (0 = report only)")
-		jitter     = flag.Float64("jitter", 0, "log-normal latency jitter sigma")
-		parallel   = flag.Int("parallel", opt.AutoParallelism, "optimizer search workers (-1 = one per CPU, 1 = sequential)")
-		planCache  = flag.Int("plancache", 128, "plan cache capacity in entries (0 disables)")
-		cacheTTL   = flag.Duration("cachettl", 0, "plan cache entry TTL (0 = no expiry)")
-		cacheBytes = flag.Int64("cachebytes", 0, "approximate plan cache byte budget (0 = unlimited)")
-		revalRatio = flag.Float64("revalidate-ratio", opt.DefaultRevalidateRatio, "template-cache cost divergence triggering a fresh search")
-		feedback   = flag.Bool("feedback", true, "fold executed traffic back into service profiles (stats epochs)")
-		minCalls   = flag.Int64("feedback-min-calls", 4, "observed calls required before a profile refresh")
-		minDrift   = flag.Float64("feedback-min-drift", 0.1, "relative statistics drift required before a refresh")
-		workerList = flag.String("workers", "", "comma-separated mdqworker base URLs; enables coordinator mode")
-		healthIvl  = flag.Duration("health-interval", dist.DefaultHealthInterval, "worker health-probe period in coordinator mode (0 disables active probing; passive RPC feedback still applies)")
-		maxRetries = flag.Int("max-retries", dist.DefaultMaxRetries, "re-attempts for a transiently failed worker dispatch (0 disables retries)")
-		bufferSize = flag.Int("buffer", exec.DefaultBufferSize, "streaming executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
-		cacheFile  = flag.String("cache-file", "", "load the template cache from this file at start and save it on SIGINT/SIGTERM")
-
-		rescacheN     = flag.Int("rescache", rescache.DefaultMaxEntries, "shared service-call result cache capacity in entries (0 disables)")
-		rescacheBytes = flag.Int64("rescache-bytes", rescache.DefaultMaxBytes, "approximate result cache byte budget (<0 = unlimited)")
-		rescacheTTL   = flag.Duration("rescache-ttl", 0, "result cache entry TTL (0 = no expiry; epochs still invalidate)")
-		coalesce      = flag.Bool("coalesce", true, "coalesce identical concurrent /query requests onto one optimize+execute")
-
-		maxInFlight  = flag.Int("max-inflight", 64, "max concurrent /optimize and /query requests (0 = unlimited)")
-		queueWait    = flag.Duration("queue-wait", time.Second, "max time a request waits for an in-flight slot before 429")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on shutdown")
-		slowlogCap   = flag.Int("slowlog", 128, "slow-query log capacity (GET /slowlog)")
-		slowAbove    = flag.Duration("slow-above", 0, "only log requests at least this slow (0 = log all)")
-		defDeadline  = flag.Duration("default-deadline", 0, "default per-query deadline when requests set no deadline_ms (0 = none)")
-		defMaxCalls  = flag.Int64("default-max-calls", 0, "default per-query service-call cap when requests set no max_calls (0 = none)")
-		traceSample  = flag.Float64("trace-sample", 0, "fraction of requests to trace unasked (0 = only explicit or slowlog-qualifying; 1 = all)")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
-	)
+	var node server.Node
+	node.RegisterFlags(flag.CommandLine, ":8080")
+	engine := &server.Engine{}
+	cfg := server.Config{Engine: engine}
+	cfg.RegisterFlags(flag.CommandLine)
+	jitter := flag.Float64("jitter", 0, "log-normal latency jitter sigma")
+	flag.Float64Var(&engine.RevalidateRatio, "revalidate-ratio", opt.DefaultRevalidateRatio, "template-cache cost divergence triggering a fresh search")
+	workerList := flag.String("workers", "", "comma-separated mdqworker base URLs; enables coordinator mode")
 	flag.Parse()
 
-	reg, _, err := simweb.World(*worldName, simweb.TravelOptions{JitterSigma: *jitter})
-	if err != nil {
+	if err := node.Open(simweb.TravelOptions{JitterSigma: *jitter}); err != nil {
 		log.Fatal(err)
 	}
-	reg.ObserveAll()
-
-	engine := &server.Engine{
-		Registry:        reg,
-		Parallelism:     *parallel,
-		RevalidateRatio: *revalRatio,
-		BufferSize:      *bufferSize,
-	}
-	if *planCache > 0 {
-		engine.Cache = opt.NewPlanCacheWith(opt.Policy{Capacity: *planCache, TTL: *cacheTTL, MaxBytes: *cacheBytes})
-		reg.SubscribeEpochs(engine.Cache, engine.Cache.InvalidateService)
-	}
-	if *feedback {
-		engine.Feedback = &service.FeedbackPolicy{MinCalls: *minCalls, MinDrift: *minDrift}
-	}
+	engine.Registry = node.Registry
+	engine.Parallelism = node.Parallelism
+	engine.BufferSize = node.BufferSize
+	engine.Cache = node.PlanCache
+	engine.Feedback = node.Learn()
 	for _, base := range strings.Split(*workerList, ",") {
 		if base = strings.TrimSpace(strings.TrimSuffix(base, "/")); base != "" {
 			engine.Workers = append(engine.Workers, &dist.HTTPTransport{Base: base})
 		}
 	}
-	proc := &server.Process{
-		Addr:         *addr,
-		DrainTimeout: *drainTimeout,
-		Registry:     reg,
-		PlanCache:    engine.Cache,
-		CacheFile:    *cacheFile,
-	}
-	if err := proc.LoadCache(); err != nil {
-		log.Fatal(err)
-	}
-
-	cfg := server.Config{
-		Engine:          engine,
-		Coalesce:        *coalesce,
-		HealthInterval:  *healthIvl,
-		MaxRetries:      *maxRetries,
-		MaxInFlight:     *maxInFlight,
-		QueueWait:       *queueWait,
-		SlowlogCap:      *slowlogCap,
-		SlowAbove:       *slowAbove,
-		DefaultDeadline: *defDeadline,
-		DefaultMaxCalls: *defMaxCalls,
-		TraceSample:     *traceSample,
-	}
-	if *rescacheN != 0 {
-		// The shared result cache serves single-process executions; in
-		// coordinator mode the equivalent store lives on each worker
-		// (mdqworker -rescache), where the service calls actually happen.
-		cfg.ResultCache = rescache.New(rescache.Config{MaxEntries: *rescacheN, MaxBytes: *rescacheBytes, TTL: *rescacheTTL})
-	}
-	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
-	srv := server.New(mux, cfg)
+	// The shared result cache serves single-process executions; in
+	// coordinator mode the equivalent store lives on each worker
+	// (mdqworker -rescache), where the service calls actually happen.
+	cfg.ResultCache = node.ResultStore()
+	srv := server.New(node.Mux, cfg)
 	defer srv.Close()
-	if *pprofFlag {
-		server.MountPprof(mux)
-		fmt.Printf("pprof enabled on /debug/pprof/\n")
-	}
-	fmt.Printf("serving %s world (%v) on %s\n", *worldName, names, *addr)
+	fmt.Printf("serving %s world (%v) on %s\n", node.World, node.Services, node.Addr)
 	fmt.Printf("endpoints: GET /services, GET /services/<name>/signature, POST /services/<name>/invoke,\n")
 	fmt.Printf("           POST /optimize, POST /query, GET /cache, GET /stats, GET /optimize/stats,\n")
 	fmt.Printf("           GET /metrics, GET /slowlog, GET /trace, GET /events, GET /fleet\n")
 
-	proc.Handler = srv
-	proc.Admission = srv.Admission()
-	if err := proc.Run(); err != nil {
+	node.Handler = srv
+	node.Admission = srv.Admission()
+	if err := node.Run(); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -17,6 +17,10 @@
 //	          [-feedback-min-drift 0.1] [-rescache 4096] [-rescache-bytes N]
 //	          [-rescache-ttl 0] [-pprof]
 //
+// The flags it shares with mdqserve are declared once (server.Node)
+// and mean the same on both: -plancache 0 disables the plan cache, so
+// template probes always miss and every shard search runs in full.
+//
 // -rescache bounds the shared service-call result cache consulted by
 // fragment executions (0 disables it): invocations repeated with
 // identical input bindings — across fragments, queries and requests —
@@ -69,85 +73,40 @@ import (
 	"time"
 
 	"mdq/internal/dist"
-	"mdq/internal/exec"
-	"mdq/internal/httpwrap"
-	"mdq/internal/opt"
 	"mdq/internal/rescache"
 	"mdq/internal/serve"
 	"mdq/internal/server"
-	"mdq/internal/service"
 	"mdq/internal/simweb"
 )
 
 func main() {
-	var (
-		addr          = flag.String("addr", ":8090", "listen address")
-		worldName     = flag.String("world", "travel", "built-in world: travel, bio, mashup or zipf")
-		scale         = flag.Float64("scale", 0, "sleep scale for simulated latencies (0 = report only)")
-		parallel      = flag.Int("parallel", opt.AutoParallelism, "in-process search workers per shard (-1 = one per CPU)")
-		planCache     = flag.Int("plancache", 128, "plan cache capacity in entries")
-		cacheTTL      = flag.Duration("cachettl", 0, "plan cache entry TTL (0 = no expiry)")
-		cacheBytes    = flag.Int64("cachebytes", 0, "approximate plan cache byte budget (0 = unlimited)")
-		cacheFile     = flag.String("cache-file", "", "load the template cache from this file at start and save it on SIGINT/SIGTERM")
-		execute       = flag.Bool("execute", true, "serve fragment execution (POST /dist/execute)")
-		bufferSize    = flag.Int("buffer", exec.DefaultBufferSize, "fragment executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
-		rescacheN     = flag.Int("rescache", rescache.DefaultMaxEntries, "shared service-call result cache capacity in entries (0 disables)")
-		rescacheBytes = flag.Int64("rescache-bytes", rescache.DefaultMaxBytes, "approximate result cache byte budget (<0 = unlimited)")
-		rescacheTTL   = flag.Duration("rescache-ttl", 0, "result cache entry TTL (0 = no expiry; epochs still invalidate)")
-
-		feedback = flag.Bool("feedback", true, "fold fragment-execution traffic back into local service profiles")
-		minCalls = flag.Int64("feedback-min-calls", 4, "observed calls required before a profile refresh")
-		minDrift = flag.Float64("feedback-min-drift", 0.1, "relative statistics drift required before a refresh")
-
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on shutdown")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
-	)
+	var node server.Node
+	node.RegisterFlags(flag.CommandLine, ":8090")
+	execute := flag.Bool("execute", true, "serve fragment execution (POST /dist/execute)")
 	flag.Parse()
 
-	reg, _, err := simweb.World(*worldName, simweb.TravelOptions{})
-	if err != nil {
+	if err := node.Open(simweb.TravelOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	reg.ObserveAll()
-
-	pc := opt.NewPlanCacheWith(opt.Policy{Capacity: *planCache, TTL: *cacheTTL, MaxBytes: *cacheBytes})
-	worker := dist.NewWorker(reg, pc)
-	worker.Parallelism = *parallel
+	worker := dist.NewWorker(node.Registry, node.PlanCache)
+	worker.Parallelism = node.Parallelism
 	worker.ExecuteDisabled = !*execute
-	worker.BufferSize = *bufferSize
-	if *feedback {
-		worker.Feedback = &service.FeedbackPolicy{MinCalls: *minCalls, MinDrift: *minDrift}
-	}
-
-	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
-	proc := &server.Process{
-		Addr:         *addr,
-		Handler:      mux,
-		DrainTimeout: *drainTimeout,
-		Registry:     reg,
-		PlanCache:    pc,
-		CacheFile:    *cacheFile,
-	}
-	if err := proc.LoadCache(); err != nil {
-		log.Fatal(err)
-	}
+	worker.BufferSize = node.BufferSize
+	worker.Feedback = node.Learn()
 
 	metrics := serve.NewMetrics()
-	if *rescacheN != 0 {
-		store := rescache.New(rescache.Config{MaxEntries: *rescacheN, MaxBytes: *rescacheBytes, TTL: *rescacheTTL})
+	if store := node.ResultStore(); store != nil {
 		store.Observer = rescache.MetricsObserver(metrics)
-		store.Bind(reg)
+		store.Bind(node.Registry)
 		worker.ResultCache = store
 	}
-	mux.Handle("/dist/", instrumentWorker(metrics, worker.Handler()))
-	mux.Handle("/metrics", metrics.Handler())
-	if *pprofFlag {
-		server.MountPprof(mux)
-	}
-	fmt.Printf("mdqworker: %s world (%v) on %s (execute=%v)\n", *worldName, names, *addr, *execute)
+	node.Mux.Handle("/dist/", instrumentWorker(metrics, worker.Handler()))
+	node.Mux.Handle("/metrics", metrics.Handler())
+	fmt.Printf("mdqworker: %s world (%v) on %s (execute=%v)\n", node.World, node.Services, node.Addr, *execute)
 	fmt.Printf("endpoints: POST /dist/search, /dist/sync, /dist/gossip, /dist/execute; GET|POST /dist/templates; GET /dist/info; GET /dist/health; GET /metrics\n")
 
-	if err := proc.Run(); err != nil {
+	node.Handler = node.Mux
+	if err := node.Run(); err != nil {
 		log.Fatal(err)
 	}
 }

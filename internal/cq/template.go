@@ -207,7 +207,7 @@ func (t *Template) MustBind(values map[string]schema.Value) *Query {
 }
 
 // ParseBindings reads a textual binding list of the form
-// "name=value,name2=value2" (the CLI syntax of mdqopt/mdqrun) into
+// "name=value,name2=value2" (the CLI syntax of mdqrun -bind) into
 // template binding values, typing each literal with
 // ParseBindingValue. Empty segments are skipped.
 func ParseBindings(s string) (map[string]schema.Value, error) {

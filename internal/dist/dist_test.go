@@ -201,6 +201,35 @@ func TestDistributedTemplateServing(t *testing.T) {
 	if r1.Best.Signature() != r2.Best.Signature() {
 		t.Fatalf("template hit changed the plan: %s vs %s", r2.Best.Signature(), r1.Best.Signature())
 	}
+
+	// A worker without a plan cache (mdqworker -plancache 0) still
+	// answers all three requests: a shard search, a template probe
+	// that finds nothing, and a fragment execution.
+	t.Run("uncached", func(t *testing.T) {
+		wreg, _ := w.make()
+		wk := NewWorker(wreg, nil)
+		wk.Parallelism = 1
+		tr := LocalTransport{Worker: wk}
+		ctx := context.Background()
+		req := SearchRequest{Query: q.String(), K: 10, ShardCount: 1}
+		shard, err := tr.Search(ctx, req)
+		if err != nil || !shard.Found || shard.Signature != r1.Best.Signature() {
+			t.Fatalf("shard search: %+v, %v; want plan %s", shard, err, r1.Best.Signature())
+		}
+		req.Template = true
+		probe, err := tr.Search(ctx, req)
+		if err != nil || probe.Found {
+			t.Fatalf("template probe: %+v, %v; want found:false", probe, err)
+		}
+		co.Workers = []Transport{tr}
+		out, err := co.ExecutePlan(ctx, r1.Best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Rows) == 0 || out.Stats.Calls["catalog"] == 0 {
+			t.Fatalf("fragment execution returned %d rows and calls %v", len(out.Rows), out.Stats.Calls)
+		}
+	})
 }
 
 func clusterSearches(workers []*Worker) uint64 {

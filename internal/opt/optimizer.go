@@ -374,8 +374,8 @@ func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 		p1.End()
 	}
 
-	if len(q.Atoms) > 63 {
-		return nil, fmt.Errorf("opt: query %s has %d atoms; the topology walk supports at most 63", q.Name, len(q.Atoms))
+	if len(q.Atoms) > plan.MaxAtoms {
+		return nil, fmt.Errorf("opt: query %s has %d atoms; the topology walk supports at most %d", q.Name, len(q.Atoms), plan.MaxAtoms)
 	}
 	// Count the search only once real work begins: an empty shard
 	// returns before doing any, and must not inflate the Searches

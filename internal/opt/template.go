@@ -247,23 +247,6 @@ func (o *Optimizer) recost(q *cq.Query, key, class string, tv templateView) *Res
 	}
 }
 
-// UniformCost re-prices a result's chosen plan with the
-// value-distribution layer disabled: the cost the same plan would be
-// assigned under the paper's uniform model. CLIs print it next to
-// the value-sensitive estimate so the histograms' effect per binding
-// is visible. The plan is cloned, so the result's annotations are
-// untouched.
-func (o *Optimizer) UniformCost(res *Result) float64 {
-	if res == nil || res.Best == nil {
-		return 0
-	}
-	clone := res.Best.Clone()
-	cfg := o.Estimator
-	cfg.NoValueStats = true
-	cfg.Annotate(clone)
-	return o.metric().Cost(clone)
-}
-
 // costDiverged reports whether the re-estimated cost left the
 // [base/ratio, base·ratio] band around the baseline.
 func costDiverged(got, base, ratio float64) bool {

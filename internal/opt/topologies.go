@@ -154,7 +154,7 @@ func CountTopologies(q *cq.Query, asn abind.Assignment) int {
 // in); leaf is invoked for every complete topology.
 func WalkTopologies(q *cq.Query, asn abind.Assignment, keep func(*topoState) bool, leaf func(*plan.Topology)) {
 	n := len(q.Atoms)
-	if n > 63 {
+	if n > plan.MaxAtoms {
 		panic("opt: too many atoms")
 	}
 	outs := outputsOf(q, asn)

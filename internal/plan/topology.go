@@ -12,6 +12,12 @@ import (
 	"strings"
 )
 
+// MaxAtoms is the largest atom count a topology may order: the
+// phase-2 walk keeps the placed atoms in one 64-bit mask, so no plan
+// this system builds is larger, and decoding rejects larger wire
+// topologies before allocating their n×n relation.
+const MaxAtoms = 63
+
 // Topology is a strict partial order over the atoms of a query: the
 // relative invocation order of services. Incomparable atoms run in
 // parallel. The paper's Example 5.1 counts 19 alternative plans for
@@ -259,8 +265,10 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	// Divide before multiplying: a hostile n can overflow n*n.
-	if w.N < 0 || w.N > 0 && len(w.Bits)/w.N != w.N || len(w.Bits) != w.N*w.N {
+	if w.N < 0 || w.N > MaxAtoms {
+		return fmt.Errorf("plan: topology wire format orders %d atoms; at most %d are supported", w.N, MaxAtoms)
+	}
+	if len(w.Bits) != w.N*w.N {
 		return fmt.Errorf("plan: topology wire format has %d bits for n=%d", len(w.Bits), w.N)
 	}
 	less := make([]bool, len(w.Bits))

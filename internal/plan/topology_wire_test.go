@@ -2,6 +2,8 @@ package plan
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +42,10 @@ func TestTopologyJSONRejectsInvalid(t *testing.T) {
 		`{"n":1,"bits":"1"}`,         // reflexive
 		`{"n":-1,"bits":""}`,         // negative size
 		`{"n":4294967296,"bits":""}`, // n*n overflows to 0
+		// Well-formed all-parallel orders beyond plan.MaxAtoms: refused
+		// before the cubic partial-order check would run.
+		fmt.Sprintf(`{"n":64,"bits":"%s"}`, strings.Repeat("0", 64*64)),
+		fmt.Sprintf(`{"n":1000,"bits":"%s"}`, strings.Repeat("0", 1000*1000)),
 	} {
 		var topo Topology
 		if err := json.Unmarshal([]byte(bad), &topo); err == nil {

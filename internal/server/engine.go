@@ -7,8 +7,11 @@
 // and bound → plan execution under a logical cache — and where a
 // service call physically runs is a deployment fact. Engine's three
 // methods are the only place in the module that asks whether a worker
-// fleet is configured, and the only place outside dist.Worker that
-// assembles an opt.Optimizer, exec.Runner or dist.Coordinator.
+// fleet is configured. No binary's main package and no mdq.System
+// method assembles an opt.Optimizer, exec.Runner or dist.Coordinator
+// of its own; they go through an Engine. Below it, dist.Worker and
+// dist.Coordinator build the optimizers they run, and examples/ and
+// internal/experiments build theirs to reproduce the paper's figures.
 package server
 
 import (
@@ -89,6 +92,10 @@ type Knobs struct {
 	// SharedCache, when set, replaces the per-run logical cache of a
 	// single-process execution (continued executions, §2.2).
 	SharedCache exec.Cache
+	// Alternatives is how many runner-up plans a single-process search
+	// keeps on the result (opt.Optimizer.KeepAlternatives); a fleet
+	// keeps none.
+	Alternatives int
 }
 
 // coordinator assembles a per-request distributed coordinator.
@@ -141,17 +148,18 @@ func (e *Engine) optimize(ctx context.Context, q *cq.Query, kn Knobs, template b
 		return c.Optimize(ctx, q)
 	}
 	o := &opt.Optimizer{
-		Metric:          kn.Metric,
-		Estimator:       kn.Estimator,
-		K:               kn.K,
-		ChooseMethod:    e.Registry.MethodChooser(),
-		Parallelism:     e.Parallelism,
-		Cache:           e.Cache,
-		CacheSalt:       e.Registry.CacheSalt(),
-		Epochs:          e.Registry,
-		RevalidateRatio: e.RevalidateRatio,
-		Budget:          serve.FromContext(ctx),
-		Span:            sp,
+		Metric:           kn.Metric,
+		Estimator:        kn.Estimator,
+		K:                kn.K,
+		ChooseMethod:     e.Registry.MethodChooser(),
+		Parallelism:      e.Parallelism,
+		Cache:            e.Cache,
+		CacheSalt:        e.Registry.CacheSalt(),
+		Epochs:           e.Registry,
+		RevalidateRatio:  e.RevalidateRatio,
+		Budget:           serve.FromContext(ctx),
+		Span:             sp,
+		KeepAlternatives: kn.Alternatives,
 	}
 	if template {
 		return o.OptimizeTemplate(q)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log"
 	"net/http"
@@ -11,20 +12,113 @@ import (
 	"syscall"
 	"time"
 
+	"mdq/internal/exec"
+	"mdq/internal/httpwrap"
 	"mdq/internal/opt"
+	"mdq/internal/rescache"
 	"mdq/internal/serve"
 	"mdq/internal/service"
+	"mdq/internal/simweb"
 )
 
-// MountPprof mounts net/http/pprof under /debug/pprof/. Opt-in only:
-// profiles expose internals, so the binaries call this solely behind
-// their -pprof flag (enable on trusted networks).
-func MountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+// Node is what mdqserve and mdqworker share: the flags both declare,
+// each bound straight into the struct that reads it, and what both
+// build from them before their roles diverge — the observed world,
+// its services mux, the plan cache, the feedback policy and the
+// result store.
+type Node struct {
+	// Process carries -addr, -drain-timeout and -cache-file; Open
+	// fills its Registry and PlanCache.
+	Process
+	// World, Scale, Parallelism and BufferSize are -world, -scale,
+	// -parallel and -buffer.
+	World       string
+	Scale       float64
+	Parallelism int
+	BufferSize  int
+	// Cache is the plan cache policy (-plancache, -cachettl,
+	// -cachebytes); a Capacity of 0 disables the cache.
+	Cache opt.Policy
+	// Results is the result store policy (-rescache, -rescache-bytes,
+	// -rescache-ttl); a MaxEntries of 0 disables the store.
+	Results rescache.Config
+	// Feedback enables FeedbackPolicy (-feedback, -feedback-min-calls,
+	// -feedback-min-drift).
+	Feedback       bool
+	FeedbackPolicy service.FeedbackPolicy
+	// Pprof mounts net/http/pprof under /debug/pprof/ (-pprof). Opt-in
+	// only: profiles expose internals (enable on trusted networks).
+	Pprof bool
+
+	// Mux serves the world's services, named by Services; Open fills
+	// both.
+	Mux      *http.ServeMux
+	Services []string
+}
+
+// RegisterFlags declares the shared flags on fs; -addr defaults to
+// addr, every other default is the same for both binaries.
+func (n *Node) RegisterFlags(fs *flag.FlagSet, addr string) {
+	fs.StringVar(&n.Addr, "addr", addr, "listen address")
+	fs.StringVar(&n.World, "world", "travel", "built-in world: travel, bio, mashup or zipf")
+	fs.Float64Var(&n.Scale, "scale", 0, "sleep scale for simulated latencies (0 = report only)")
+	fs.IntVar(&n.Parallelism, "parallel", opt.AutoParallelism, "optimizer search workers per search or shard (-1 = one per CPU, 1 = sequential)")
+	fs.IntVar(&n.BufferSize, "buffer", exec.DefaultBufferSize, "streaming executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
+	fs.IntVar(&n.Cache.Capacity, "plancache", 128, "plan cache capacity in entries (0 disables)")
+	fs.DurationVar(&n.Cache.TTL, "cachettl", 0, "plan cache entry TTL (0 = no expiry)")
+	fs.Int64Var(&n.Cache.MaxBytes, "cachebytes", 0, "approximate plan cache byte budget (0 = unlimited)")
+	fs.StringVar(&n.CacheFile, "cache-file", "", "load the template cache from this file at start and save it on SIGINT/SIGTERM")
+	fs.IntVar(&n.Results.MaxEntries, "rescache", rescache.DefaultMaxEntries, "shared service-call result cache capacity in entries (0 disables)")
+	fs.Int64Var(&n.Results.MaxBytes, "rescache-bytes", rescache.DefaultMaxBytes, "approximate result cache byte budget (<0 = unlimited)")
+	fs.DurationVar(&n.Results.TTL, "rescache-ttl", 0, "result cache entry TTL (0 = no expiry; epochs still invalidate)")
+	fs.BoolVar(&n.Feedback, "feedback", true, "fold the traffic this process executes back into its service profiles (stats epochs)")
+	fs.Int64Var(&n.FeedbackPolicy.MinCalls, "feedback-min-calls", 4, "observed calls required before a profile refresh")
+	fs.Float64Var(&n.FeedbackPolicy.MinDrift, "feedback-min-drift", 0.1, "relative statistics drift required before a refresh")
+	fs.DurationVar(&n.DrainTimeout, "drain-timeout", 15*time.Second, "max time to drain in-flight requests on shutdown")
+	fs.BoolVar(&n.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
+}
+
+// Open builds the parsed flags' world with every service observed,
+// its services mux (with pprof when asked) and the plan cache,
+// subscribed to the registry's epoch feed and warmed from -cache-file.
+func (n *Node) Open(opts simweb.TravelOptions) error {
+	reg, _, err := simweb.World(n.World, opts)
+	if err != nil {
+		return err
+	}
+	reg.ObserveAll()
+	n.Registry = reg
+	if n.Cache.Capacity > 0 {
+		n.PlanCache = opt.NewPlanCacheWith(n.Cache)
+		reg.SubscribeEpochs(n.PlanCache, n.PlanCache.InvalidateService)
+	}
+	n.Mux, n.Services = httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: n.Scale})
+	if n.Pprof {
+		n.Mux.HandleFunc("/debug/pprof/", pprof.Index)
+		n.Mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		n.Mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		n.Mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		n.Mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		fmt.Printf("pprof enabled on /debug/pprof/\n")
+	}
+	return n.LoadCache()
+}
+
+// Learn returns the feedback policy, nil without -feedback.
+func (n *Node) Learn() *service.FeedbackPolicy {
+	if !n.Feedback {
+		return nil
+	}
+	return &n.FeedbackPolicy
+}
+
+// ResultStore returns a new result store under the -rescache* policy,
+// nil when -rescache is 0. The caller binds it to the registry.
+func (n *Node) ResultStore() *rescache.Store {
+	if n.Results.MaxEntries == 0 {
+		return nil
+	}
+	return rescache.New(n.Results)
 }
 
 // Process is the lifecycle mdqserve and mdqworker share: warm the

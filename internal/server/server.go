@@ -1,6 +1,7 @@
 package server
 
 import (
+	"flag"
 	"fmt"
 	"log"
 	"net/http"
@@ -11,8 +12,9 @@ import (
 	"mdq/internal/serve"
 )
 
-// Config is what New builds a serving surface from — mdqserve's flag
-// set, resolved.
+// Config is what New builds a serving surface from. RegisterFlags
+// binds mdqserve's serving flags to its fields; Engine and ResultCache
+// are built from the flags Node declares.
 type Config struct {
 	// Engine answers the requests. New completes its fleet fields
 	// (Membership, Retry, OnRetry) and ResultCache.
@@ -41,6 +43,21 @@ type Config struct {
 	DefaultMaxCalls int64
 	// TraceSample is the fraction of requests traced unasked.
 	TraceSample float64
+}
+
+// RegisterFlags declares mdqserve's serving flags on fs, each bound
+// to the field it sets.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&c.Coalesce, "coalesce", true, "coalesce identical concurrent /query requests onto one optimize+execute")
+	fs.DurationVar(&c.HealthInterval, "health-interval", dist.DefaultHealthInterval, "worker health-probe period in coordinator mode (0 disables active probing; passive RPC feedback still applies)")
+	fs.IntVar(&c.MaxRetries, "max-retries", dist.DefaultMaxRetries, "re-attempts for a transiently failed worker dispatch (0 disables retries)")
+	fs.IntVar(&c.MaxInFlight, "max-inflight", 64, "max concurrent /optimize and /query requests (0 = unlimited)")
+	fs.DurationVar(&c.QueueWait, "queue-wait", time.Second, "max time a request waits for an in-flight slot before 429")
+	fs.IntVar(&c.SlowlogCap, "slowlog", 128, "slow-query log capacity (GET /slowlog)")
+	fs.DurationVar(&c.SlowAbove, "slow-above", 0, "only log requests at least this slow (0 = log all)")
+	fs.DurationVar(&c.DefaultDeadline, "default-deadline", 0, "default per-query deadline when requests set no deadline_ms (0 = none)")
+	fs.Int64Var(&c.DefaultMaxCalls, "default-max-calls", 0, "default per-query service-call cap when requests set no max_calls (0 = none)")
+	fs.Float64Var(&c.TraceSample, "trace-sample", 0, "fraction of requests to trace unasked (0 = only explicit or slowlog-qualifying; 1 = all)")
 }
 
 // Server is the optimization and query surface of one serving
